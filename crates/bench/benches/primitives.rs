@@ -54,6 +54,13 @@ fn bench_hashing(b: &Bench) {
             hashp::hash_i32(&col, &sel_v, hf, &mut out)
         });
     }
+    // Composite keys: fold a second column into existing hashes.
+    for (name, hf) in [("murmur2", HashFn::Murmur2), ("crc", HashFn::Crc)] {
+        let mut hashes = keys.clone();
+        b.run(&format!("rehash_i32_gathered/{name}"), N as u64, || {
+            hashp::rehash_i32(&col, &sel_v, hf, &mut hashes)
+        });
+    }
 }
 
 fn bench_gather(b: &Bench) {

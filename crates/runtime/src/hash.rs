@@ -75,29 +75,19 @@ pub fn hash_bytes_murmur2(bytes: &[u8]) -> u64 {
 // CRC32C-based hashing (Typer / HyPer style).
 // ---------------------------------------------------------------------
 
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn has_sse42() -> bool {
-    // Detection is one load + predictable branch per call; the hardware
-    // path compiles to a single `crc32` instruction.
-    use std::sync::OnceLock;
-    static HAS: OnceLock<bool> = OnceLock::new();
-    *HAS.get_or_init(|| std::arch::is_x86_feature_detected!("sse4.2"))
-}
+const CRC_SEED_LO: u32 = 0xD7E8_9A2C;
+const CRC_SEED_HI: u32 = 0x8F41_5C6B;
+const CRC_MIX: u64 = 0x2545_F491_4F6C_DD1D;
 
-/// # Safety
-/// Requires SSE4.2 — callers check [`has_sse42`] first.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse4.2")]
-#[inline]
-unsafe fn crc32_hw(seed: u32, key: u64) -> u32 {
-    std::arch::x86_64::_mm_crc32_u64(seed as u64, key) as u32
-}
-
-/// Software CRC32C (Castagnoli), bitwise; only the fallback path.
+/// Software CRC32C (Castagnoli), bitwise: the path for hosts without
+/// SSE4.2 (and under Miri), and the reference the tests hold the hardware
+/// path to.
 ///
 /// Matches the semantics of `_mm_crc32_u64`: the seed is the running CRC
-/// state, with no initial or final complement.
+/// state, with no initial or final complement. Kept out of line so its
+/// 64-step loop never bloats the fused loops that inline [`crc64`].
+#[cold]
+#[inline(never)]
 fn crc32_sw(seed: u32, key: u64) -> u32 {
     let mut crc = seed;
     for i in 0..8 {
@@ -111,26 +101,40 @@ fn crc32_sw(seed: u32, key: u64) -> u32 {
     crc
 }
 
-#[inline]
-fn crc32(seed: u32, key: u64) -> u32 {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if has_sse42() {
-            // SAFETY: guarded by runtime detection of sse4.2.
-            return unsafe { crc32_hw(seed, key) };
-        }
-    }
-    crc32_sw(seed, key)
-}
-
 /// HyPer-style 64-bit hash: two independent 32-bit CRCs of the key,
 /// concatenated and multiplied to spread entropy into the high bits
 /// (the directory tag lives there).
-#[inline]
+///
+/// On x86-64 with SSE4.2 each CRC is a single `crc32` instruction inlined
+/// into the caller's loop, behind one feature check per key
+/// (`is_x86_feature_detected!` caches its answer: one load and a
+/// predictable branch). The instructions are inline `asm!` rather than a
+/// call to a `#[target_feature(enable = "sse4.2")]` function: such a
+/// function cannot be inlined into callers compiled without the feature,
+/// so every hash in Typer's fused loops would be an out-of-line call.
+#[inline(always)]
 pub fn crc64(key: u64) -> u64 {
-    let lo = crc32(0xD7E8_9A2C, key) as u64;
-    let hi = crc32(0x8F41_5C6B, key) as u64;
-    (lo | (hi << 32)).wrapping_mul(0x2545_F491_4F6C_DD1D)
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    if std::arch::is_x86_feature_detected!("sse4.2") {
+        let (mut lo, mut hi) = (CRC_SEED_LO as u64, CRC_SEED_HI as u64);
+        // SAFETY: SSE4.2 was detected at run time, so `crc32` exists. The
+        // instructions read and write only the named registers: no memory,
+        // no stack, and they leave the flags untouched.
+        unsafe {
+            std::arch::asm!(
+                "crc32 {lo}, {key}",
+                "crc32 {hi}, {key}",
+                lo = inout(reg) lo,
+                hi = inout(reg) hi,
+                key = in(reg) key,
+                options(pure, nomem, nostack, preserves_flags),
+            );
+        }
+        return (lo | (hi << 32)).wrapping_mul(CRC_MIX);
+    }
+    let lo = crc32_sw(CRC_SEED_LO, key) as u64;
+    let hi = crc32_sw(CRC_SEED_HI, key) as u64;
+    (lo | (hi << 32)).wrapping_mul(CRC_MIX)
 }
 
 /// Combine an existing CRC-based hash with another key column.
@@ -171,16 +175,66 @@ mod tests {
         assert_ne!(murmur2(u64::MAX), murmur2(u64::MAX - 1));
     }
 
+    /// `crc64` built from the bitwise software CRC only.
+    fn crc64_sw(key: u64) -> u64 {
+        let lo = crc32_sw(CRC_SEED_LO, key) as u64;
+        let hi = crc32_sw(CRC_SEED_HI, key) as u64;
+        (lo | (hi << 32)).wrapping_mul(CRC_MIX)
+    }
+
     #[test]
-    fn crc_sw_matches_hw() {
-        // On machines with SSE4.2 the software path must agree with the
-        // hardware instruction — they implement the same polynomial.
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("sse4.2") {
-            for k in [0u64, 1, 42, 0xdead_beef_cafe_babe, u64::MAX] {
-                let hw = unsafe { crc32_hw(123, k) };
-                assert_eq!(crc32_sw(123, k), hw, "key {k:#x}");
+    fn production_crc_matches_software_reference() {
+        // The path the engines call (the inline `crc32` instruction where
+        // the host has SSE4.2) must equal the bitwise CRC32C.
+        let edges = [
+            0u64,
+            1,
+            u32::MAX as u64,
+            u64::MAX,
+            (-7i32) as u64,
+            i32::MIN as u64,
+        ];
+        let mut rng = crate::rng::SmallRng::seed_from_u64(0xc0ffee);
+        let sweep: Vec<u64> = (0..4096).map(|_| rng.next_u64()).collect();
+        for &k in edges.iter().chain(&sweep) {
+            assert_eq!(crc64(k), crc64_sw(k), "crc64 key {k:#x}");
+            for &h in &[0u64, u64::MAX, crc64_sw(k ^ 0x5a5a)] {
+                assert_eq!(
+                    rehash_crc(h, k),
+                    crc64_sw(h ^ k.rotate_left(32)),
+                    "rehash_crc h {h:#x} key {k:#x}"
+                );
             }
+        }
+    }
+
+    #[test]
+    fn crc_golden_values() {
+        // Bucket index, directory tag (bits 48..52) and partition radix
+        // (bits 56..62) all come from these bits: pinned so a refactor of
+        // the hash path cannot shift them silently.
+        let golden = [
+            (0x0u64, 0xc7aa_7d69_c029_ab41u64),
+            (0x1, 0x4f9b_ca18_0310_5f4a),
+            (0x2a, 0x225b_3c23_e056_9798),
+            (0xffff_ffff, 0x9fb6_5d5a_29d1_1c00),
+            (u64::MAX, 0xb59b_1360_26ab_f658),
+            ((-7i32) as u64, 0x6f0f_1295_d2fa_520f),
+            (i32::MIN as u64, 0xe2e8_dc88_e603_0eed),
+            (0xdead_beef_cafe_babe, 0x1b41_b59f_ba32_3bb7),
+        ];
+        for (k, want) in golden {
+            assert_eq!(crc64(k), want, "crc64 key {k:#x}");
+            assert_eq!(crc64_sw(k), want, "software crc64 key {k:#x}");
+        }
+        let golden_rehash = [
+            (0x0u64, 0x0u64, 0xc7aa_7d69_c029_ab41u64),
+            (0x2c56_777a_1168_8dcd, 0x9, 0x097a_6bad_f63d_cfa4),
+            (0x4f9b_ca18_0310_5f4a, 0x2, 0x13af_d55e_bb2a_a93e),
+            (u64::MAX, 0x1, 0xf0ad_8fbd_73ef_5880),
+        ];
+        for (h, k, want) in golden_rehash {
+            assert_eq!(rehash_crc(h, k), want, "rehash_crc h {h:#x} key {k:#x}");
         }
     }
 
