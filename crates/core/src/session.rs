@@ -42,7 +42,6 @@ use dbep_obs::{fingerprint64, QueryLog, QueryLogRecord, QueryTrace, TraceSink};
 use dbep_queries::params::Params;
 use dbep_queries::result::QueryResult;
 use dbep_queries::{Engine, ExecCfg, QueryId, QueryPlan};
-use dbep_runtime::counters::StageCounters;
 use dbep_scheduler::{QueryRun, RunStats, Scheduler, StageTrace, DEFAULT_PRIORITY};
 use dbep_storage::Database;
 use std::sync::Arc;
@@ -272,15 +271,20 @@ impl PreparedQuery {
     }
 
     /// The per-stage engine assignment `Engine::Adaptive` has learned
-    /// for this binding, with the measured pure-engine fallback;
-    /// `None` while still exploring (fewer than two adaptive runs).
-    pub fn adaptive_choices(&self) -> Option<(Vec<Engine>, Engine)> {
+    /// for this binding (one engine per declared stage); `None` while
+    /// still exploring (fewer than two adaptive runs).
+    pub fn adaptive_choices(&self) -> Option<Vec<Engine>> {
         self.cached.adaptive().learned()
     }
 
     /// The bound parameters.
     pub fn params(&self) -> &Params {
         &self.params
+    }
+
+    /// The session's default execution configuration for this query.
+    pub fn cfg(&self) -> &ExecCfg<'static> {
+        &self.cfg
     }
 
     /// Scheduling priority of this query's runs: picks per round-robin
@@ -322,17 +326,18 @@ impl PreparedQuery {
         self.run_traced(engine, &self.cfg)
     }
 
-    /// Non-blocking variant of [`PreparedQuery::run_with_stats`]: when
+    /// Non-blocking variant of [`PreparedQuery::run_with_stats`], with
+    /// a per-call configuration as in [`PreparedQuery::run_with`]: when
     /// the session's scheduler admission gate is saturated, returns
     /// `None` immediately instead of parking the caller. The serving
     /// front door turns that `None` into a wire-level RETRY frame.
     /// Pool-less sessions have no admission gate and always run.
-    pub fn try_run_with_stats(&self, engine: Engine) -> Option<(QueryResult, RunStats)> {
+    pub fn try_run_with_stats(&self, engine: Engine, cfg: &ExecCfg) -> Option<(QueryResult, RunStats)> {
         let admitted = match &self.sched {
             Some(sched) => Some(sched.try_begin_query(self.priority)?),
             None => None,
         };
-        Some(self.run_admitted(engine, &self.cfg, admitted))
+        Some(self.run_admitted(engine, cfg, admitted))
     }
 
     /// The canonical fingerprint of this query's parameter binding —
@@ -450,24 +455,15 @@ impl PreparedQuery {
                     .stage_trace
                     .or(own.as_ref())
                     .expect("a stage trace is attached");
-                // Exploration runs also read hardware counters (when
-                // the kernel permits): whole-run IPC becomes tiebreak
-                // evidence for the learned engine choice.
-                let counters = StageCounters::new(plan.stages().len());
                 let cfg = ExecCfg {
                     stage_trace: Some(trace),
-                    stage_counters: Some(&counters),
                     ..*cfg
                 };
                 let result = plan.run(candidate, &self.db, &cfg, &self.params);
-                self.cached
-                    .adaptive()
-                    .record_with_ipc(candidate, trace.snapshot(), counters.total().ipc());
+                self.cached.adaptive().record(candidate, trace.snapshot());
                 result
             }
-            Decision::Use { choices, pure } => plan
-                .run_mix(&self.db, cfg, &self.params, &choices)
-                .unwrap_or_else(|| plan.run(pure, &self.db, cfg, &self.params)),
+            Decision::Use(choices) => plan.run_stages(&self.db, cfg, &self.params, &choices),
             Decision::Heuristic => plan.run(Engine::Adaptive, &self.db, cfg, &self.params),
         }
     }
@@ -575,15 +571,18 @@ mod tests {
         let session = Session::with_scheduler(tiny_db(), ExecCfg::default(), Arc::clone(&sched));
         let q6 = session.prepare(QueryId::Q6);
         let held = sched.begin_query(DEFAULT_PRIORITY);
-        assert!(q6.try_run_with_stats(Engine::Typer).is_none(), "gate full");
+        assert!(
+            q6.try_run_with_stats(Engine::Typer, q6.cfg()).is_none(),
+            "gate full"
+        );
         drop(held);
-        let (result, _) = q6.try_run_with_stats(Engine::Typer).expect("gate free");
+        let (result, _) = q6.try_run_with_stats(Engine::Typer, q6.cfg()).expect("gate free");
         assert_eq!(result, q6.run(Engine::Typer));
         // Pool-less sessions have no gate: always run.
         let spawning = Session::without_pool(tiny_db(), ExecCfg::default());
         assert!(spawning
             .prepare(QueryId::Q6)
-            .try_run_with_stats(Engine::Typer)
+            .try_run_with_stats(Engine::Typer, &ExecCfg::default())
             .is_some());
     }
 

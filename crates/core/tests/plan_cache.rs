@@ -197,17 +197,19 @@ fn adaptive_matches_pure_engines_across_all_queries() {
                     q.name()
                 );
             }
-            let (choices, pure) = prepared
+            let choices = prepared
                 .adaptive_choices()
                 .unwrap_or_else(|| panic!("{} never finished exploring", q.name()));
             assert_eq!(choices.len(), dbep_queries::plan(q).stages().len());
-            assert!(matches!(pure, Engine::Typer | Engine::Tectorwise));
+            assert!(choices
+                .iter()
+                .all(|e| matches!(e, Engine::Typer | Engine::Tectorwise)));
             // Re-preparing the same binding is a hit that inherits the
             // learned state — no re-exploration.
             let again = session.prepare_params(params.clone());
             assert!(again.cache_hit(), "{} re-prepare must hit", q.name());
             assert_eq!(
-                again.adaptive_choices().map(|(c, _)| c),
+                again.adaptive_choices(),
                 Some(choices),
                 "{} learned choices survive re-prepare",
                 q.name()

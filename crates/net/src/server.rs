@@ -21,7 +21,7 @@ use crate::frame::{
 use dbep_core::metrics::EngineMetrics;
 use dbep_core::obs::{Counter, Histogram, QueryLog, QueryLogRecord, Registry, TraceSink};
 use dbep_core::queries::{Engine, ExecCfg, QueryId};
-use dbep_core::scheduler::Scheduler;
+use dbep_core::scheduler::{Scheduler, StageTrace};
 use dbep_core::storage::Database;
 use dbep_core::{PreparedQuery, Session};
 use std::io;
@@ -484,8 +484,19 @@ fn execute(
     t_read: Instant,
 ) -> Response {
     let decode_ns = t_read.elapsed().as_nanos() as u64;
+    // A query log wants per-stage wall times: attach a stage trace, as
+    // the session does for its own log.
+    let stage_trace = inner
+        .cfg
+        .query_log
+        .as_ref()
+        .map(|_| StageTrace::new(dbep_core::queries::plan(prepared.query()).stages().len()));
+    let cfg = ExecCfg {
+        stage_trace: stage_trace.as_ref(),
+        ..*prepared.cfg()
+    };
     let t_run = Instant::now();
-    let Some((result, stats)) = prepared.try_run_with_stats(engine) else {
+    let Some((result, stats)) = prepared.try_run_with_stats(engine, &cfg) else {
         let sched = inner.sched.as_deref();
         return Response::Retry {
             inflight: sched.map(|s| s.inflight()).unwrap_or(0) as u32,
@@ -535,7 +546,7 @@ fn execute(
             tasks: outcome.tasks,
             steals: outcome.steals,
             bytes_scanned: outcome.bytes_scanned,
-            stage_ns: Vec::new(),
+            stage_ns: stage_trace.as_ref().map(StageTrace::snapshot).unwrap_or_default(),
         });
     }
     Response::Result(outcome)

@@ -302,23 +302,31 @@ fn bounded_accept_refuses_past_the_cap() {
     ));
 }
 
+/// Shared sink observable while the server still owns the log.
+#[derive(Clone, Default)]
+struct SharedBuf(Arc<std::sync::Mutex<Vec<u8>>>);
+
+impl Write for SharedBuf {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+impl SharedBuf {
+    fn records(&self) -> Vec<QueryLogRecord> {
+        let text = String::from_utf8(self.0.lock().unwrap().clone()).unwrap();
+        text.lines()
+            .map(|l| QueryLogRecord::parse(l).expect("parseable record"))
+            .collect()
+    }
+}
+
 #[test]
 fn query_log_records_carry_client_and_wire_fields() {
-    use std::sync::Mutex;
-
-    /// Shared sink observable while the server still owns the log.
-    #[derive(Clone, Default)]
-    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-    impl Write for SharedBuf {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
     let buf = SharedBuf::default();
     let metrics = EngineMetrics::new();
     let server = start(ServerConfig {
@@ -334,11 +342,7 @@ fn query_log_records_carry_client_and_wire_fields() {
         ));
     }
     drop(client);
-    let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-    let records: Vec<QueryLogRecord> = text
-        .lines()
-        .map(|l| QueryLogRecord::parse(l).expect("parseable record"))
-        .collect();
+    let records = buf.records();
     assert_eq!(records.len(), 2);
     for r in &records {
         assert!(
@@ -356,4 +360,34 @@ fn query_log_records_carry_client_and_wire_fields() {
     assert_eq!(metrics.queries_completed.get(), 2);
     let names = metrics.registry().names();
     assert!(names.iter().any(|n| n == "net_frames_total"));
+}
+
+/// Wire-served records carry the same per-stage breakdown as
+/// in-process ones: one wall time per declared stage of the plan.
+#[test]
+fn query_log_records_carry_stage_times() {
+    let buf = SharedBuf::default();
+    let server = start(ServerConfig {
+        query_log: Some(Arc::new(QueryLog::new(Box::new(buf.clone())))),
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    for engine in ["typer", "adaptive"] {
+        assert!(matches!(
+            client.run_params("q3", engine, "").expect("run"),
+            Response::Result(_)
+        ));
+    }
+    drop(client);
+    let stages = dbep_queries::plan(QueryId::Q3).stages().len();
+    let records = buf.records();
+    assert_eq!(records.len(), 2);
+    for r in &records {
+        assert_eq!(r.stage_ns.len(), stages, "{} record: {:?}", r.engine, r.stage_ns);
+        assert!(
+            r.stage_ns.iter().sum::<u64>() > 0,
+            "{} record has zero stage time",
+            r.engine
+        );
+    }
 }

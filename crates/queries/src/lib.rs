@@ -61,7 +61,8 @@ pub struct ExecCfg<'a> {
     /// Admitted scheduler run this execution submits its pipelines to.
     pub sched: Option<&'a QueryRun>,
     /// Per-pipeline-stage wall-time trace (attached by the adaptive
-    /// driver when instrumenting a candidate engine; `None` otherwise).
+    /// driver when instrumenting a candidate engine, and for a query
+    /// log's stage breakdown; `None` otherwise).
     pub stage_trace: Option<&'a StageTrace>,
     /// Span tracing for this execution: stage and morsel spans are
     /// recorded into the trace's ring-buffer sink. `None` (the default)
@@ -111,14 +112,16 @@ impl<'a> ExecCfg<'a> {
         }
     }
 
-    /// The hash function Typer uses under this configuration.
-    pub fn typer_hash(&self) -> HashFn {
-        self.hash.unwrap_or(HashFn::Crc)
-    }
-
-    /// The hash function Tectorwise uses under this configuration.
-    pub fn tw_hash(&self) -> HashFn {
-        self.hash.unwrap_or(HashFn::Murmur2)
+    /// The hash function `engine` uses under this configuration: the
+    /// forced [`ExecCfg::hash`] if set, else the engine's §4.1 default
+    /// (CRC for Typer, Murmur2 for Tectorwise). A hash table is hashed
+    /// with its *build* stage's function, and every stage that probes
+    /// it must use the same one, whichever engine runs the probe.
+    pub fn hash_for(&self, engine: Engine) -> HashFn {
+        self.hash.unwrap_or(match engine {
+            Engine::Tectorwise => HashFn::Murmur2,
+            _ => HashFn::Crc,
+        })
     }
 
     /// Account a scan morsel: record the touched bytes into the run's
@@ -271,17 +274,6 @@ impl Engine {
             })
             .collect()
     }
-
-    /// The static whole-plan fallback when a plan cannot execute a
-    /// mixed stage assignment ([`QueryPlan::run_mix`] returns `None`):
-    /// probe-heavy plans run Tectorwise, computation-heavy plans Typer.
-    pub fn heuristic_pure(stages: &[StageDesc]) -> Engine {
-        if stages.iter().any(|s| s.kind == StageKind::JoinProbe) {
-            Engine::Tectorwise
-        } else {
-            Engine::Typer
-        }
-    }
 }
 
 impl std::str::FromStr for Engine {
@@ -422,12 +414,14 @@ impl StageDesc {
     }
 }
 
-/// One physical query plan of the study, implemented under every
-/// execution paradigm.
+/// One physical query plan of the study, written once per pipeline
+/// stage.
 ///
-/// Per the methodology (§3) all three implementations share the plan —
-/// join order, build sides, hash functions, data structures — so the
-/// paradigm is the only variable. Every engine entry point receives the
+/// Per the methodology (§3) every paradigm shares the plan — join
+/// order, build sides, data structures — so the paradigm is the only
+/// variable. Each declared stage has one function with a Typer and a
+/// Tectorwise arm; a run is a per-stage engine assignment, and the pure
+/// engines are the uniform assignments. Every entry point receives the
 /// query's bound substitution [`Params`] (see [`params`]); with
 /// [`Params::default_for`] the plan reproduces the paper's instance
 /// byte-for-byte. Adding a query to the harness is one struct
@@ -441,47 +435,37 @@ pub trait QueryPlan: Sync {
     /// denominator).
     fn tuples_scanned(&self, db: &dbep_storage::Database) -> usize;
 
-    /// The plan's pipeline stages in execution order. Typer and
-    /// Tectorwise bodies bracket each stage with [`ExecCfg::stage`]
-    /// using these indices, so an attached [`StageTrace`] decomposes a
-    /// run into per-stage wall times. Volcano is the interpretation
-    /// baseline and is never an adaptive candidate, so its bodies stay
-    /// uninstrumented.
+    /// The plan's pipeline stages in execution order. [`run_stages`]
+    /// brackets each stage with [`ExecCfg::stage`] using these indices,
+    /// so an attached [`StageTrace`] decomposes a run into per-stage
+    /// wall times. Volcano is the interpretation baseline and never a
+    /// stage candidate, so its bodies stay uninstrumented.
+    ///
+    /// [`run_stages`]: QueryPlan::run_stages
     fn stages(&self) -> &'static [StageDesc];
 
-    /// Data-centric compiled execution (push, fused pipelines).
-    fn typer(&self, db: &dbep_storage::Database, cfg: &ExecCfg, params: &Params) -> result::QueryResult;
-
-    /// Vector-at-a-time execution (pull, primitives).
-    fn tectorwise(&self, db: &dbep_storage::Database, cfg: &ExecCfg, params: &Params) -> result::QueryResult;
+    /// Execute with one engine per stage: `choices[i]` runs stage `i`,
+    /// and must be `Typer` or `Tectorwise` (one entry per declared
+    /// stage; anything else panics). A hash table is hashed with its
+    /// build stage's [`ExecCfg::hash_for`], and stages that probe it
+    /// use that hash, so every assignment returns the same result.
+    fn run_stages(
+        &self,
+        db: &dbep_storage::Database,
+        cfg: &ExecCfg,
+        params: &Params,
+        choices: &[Engine],
+    ) -> result::QueryResult;
 
     /// Tuple-at-a-time interpretation (pull, boxed operators). Takes the
     /// same [`ExecCfg`] as the other engines: `threads` runs an
     /// exchange-style parallel union, `throttle` paces every scan.
     fn volcano(&self, db: &dbep_storage::Database, cfg: &ExecCfg, params: &Params) -> result::QueryResult;
 
-    /// Execute with a per-stage engine assignment (`choices[i]` runs
-    /// stage `i`; only `Typer`/`Tectorwise` are valid choices). Plans
-    /// that support genuinely mixed execution override this; the
-    /// default returns `None`, telling the adaptive driver to fall back
-    /// to the best whole-plan engine. A uniform assignment must produce
-    /// exactly the corresponding pure engine's execution.
-    fn run_mix(
-        &self,
-        db: &dbep_storage::Database,
-        cfg: &ExecCfg,
-        params: &Params,
-        choices: &[Engine],
-    ) -> Option<result::QueryResult> {
-        let _ = (db, cfg, params, choices);
-        None
-    }
-
-    /// Dispatch on the execution paradigm. `Engine::Adaptive` here (the
-    /// session-less path — no learned state available) applies the
-    /// static paper heuristic: per-stage choices via
-    /// [`Engine::heuristic_choices`] when the plan supports mixing,
-    /// otherwise the whole-plan [`Engine::heuristic_pure`] pick.
+    /// Dispatch on the execution paradigm. Typer and Tectorwise run the
+    /// uniform assignment; `Engine::Adaptive` here (the session-less
+    /// path — no learned state available) runs the static paper
+    /// heuristic, [`Engine::heuristic_choices`].
     fn run(
         &self,
         engine: Engine,
@@ -489,19 +473,28 @@ pub trait QueryPlan: Sync {
         cfg: &ExecCfg,
         params: &Params,
     ) -> result::QueryResult {
-        match engine {
-            Engine::Typer => self.typer(db, cfg, params),
-            Engine::Tectorwise => self.tectorwise(db, cfg, params),
-            Engine::Volcano => self.volcano(db, cfg, params),
-            Engine::Adaptive => {
-                let choices = Engine::heuristic_choices(self.stages());
-                match self.run_mix(db, cfg, params, &choices) {
-                    Some(r) => r,
-                    None => self.run(Engine::heuristic_pure(self.stages()), db, cfg, params),
-                }
-            }
-        }
+        let choices = match engine {
+            Engine::Volcano => return self.volcano(db, cfg, params),
+            Engine::Adaptive => Engine::heuristic_choices(self.stages()),
+            pure => vec![pure; self.stages().len()],
+        };
+        self.run_stages(db, cfg, params, &choices)
     }
+}
+
+/// Check a per-stage assignment against a plan with `N` stages and
+/// return it as an array (the plans' `run_stages` entry guard).
+fn assignment<const N: usize>(query: QueryId, choices: &[Engine]) -> [Engine; N] {
+    let ok = choices.len() == N
+        && choices
+            .iter()
+            .all(|e| matches!(e, Engine::Typer | Engine::Tectorwise));
+    assert!(
+        ok,
+        "{} needs one Typer/Tectorwise choice for each of its {N} stages, got {choices:?}",
+        query.name()
+    );
+    std::array::from_fn(|i| choices[i])
 }
 
 /// Every registered query plan, in the paper's presentation order.
@@ -725,9 +718,7 @@ mod registry_tests {
             Engine::heuristic_choices(&probe_heavy),
             vec![Engine::Typer, Engine::Tectorwise]
         );
-        assert_eq!(Engine::heuristic_pure(&probe_heavy), Engine::Tectorwise);
         let fused = [StageDesc::new("scan", StageKind::ScanFilter)];
         assert_eq!(Engine::heuristic_choices(&fused), vec![Engine::Typer]);
-        assert_eq!(Engine::heuristic_pure(&fused), Engine::Typer);
     }
 }

@@ -9,8 +9,9 @@
 
 use crate::params::SsbQ11Params;
 use crate::result::{QueryResult, Value};
-use crate::{ExecCfg, Params};
+use crate::{Engine, ExecCfg, Params};
 use dbep_compiled::PackedReader;
+use dbep_runtime::hash::HashFn;
 use dbep_runtime::JoinHt;
 use dbep_storage::{Database, PackedInts, Table};
 use dbep_vectorized as tw;
@@ -34,7 +35,11 @@ fn finish(revenue: i64) -> QueryResult {
     QueryResult::new(&["revenue"], vec![vec![Value::dec4(revenue as i128)]], &[], None)
 }
 
-fn build_date_ht(db: &Database, hf: dbep_runtime::hash::HashFn, year: i32) -> JoinHt<i32> {
+/// Stage 0 (`build-date`): σ(date, year) → HT_d, hashed with this
+/// stage's `hf`. A single-threaded walk over a tiny dimension, the same
+/// scalar code under either engine: only the hash follows the
+/// assignment.
+fn build_date(db: &Database, hf: HashFn, year: i32) -> JoinHt<i32> {
     let d = db.table("date");
     let dk = d.col("d_datekey").i32s();
     let dy = d.col("d_year").i32s();
@@ -45,220 +50,172 @@ fn build_date_ht(db: &Database, hf: dbep_runtime::hash::HashFn, year: i32) -> Jo
     )
 }
 
-/// Typer over encoded storage: the fused filter + probe + sum loop with
-/// all four fact columns unpacked in registers.
-fn typer_encoded(
+/// Tectorwise per-worker state (flat and encoded input share it).
+#[derive(Default)]
+struct Scratch {
+    local: i64,
+    s1: Vec<u32>,
+    s2: Vec<u32>,
+    hashes: Vec<u64>,
+    bufs: tw::ProbeBuffers,
+    v_od: Vec<i64>,
+    v_ext: Vec<i64>,
+    v_disc: Vec<i64>,
+    v_rev: Vec<i64>,
+}
+
+/// Stage 1 (`scan-filter-lineorder`): σ(lineorder) ⋈ HT_d → SUM,
+/// probing with `hf` (HT_d's build hash). Typer fuses filter, probe and
+/// sum; Tectorwise runs two selections, one probe, then
+/// gather/multiply/sum. Over bit-packed companions, Typer unpacks all
+/// four fact columns in registers, and Tectorwise replaces the flat
+/// cascade with one fused BETWEEN kernel and one fused sparse
+/// comparison, decoding join keys and measures through
+/// conditional-aggregate readers.
+fn scan_filter(
     db: &Database,
-    lo: &Table,
-    cols: [&PackedInts; 4],
     cfg: &ExecCfg,
+    engine: Engine,
+    hf: HashFn,
+    ht_d: &JoinHt<i32>,
     p: &SsbQ11Params,
-) -> QueryResult {
-    let (disc_lo, disc_hi, qty_hi) = (p.disc_lo, p.disc_hi, p.qty_hi);
-    let hf = cfg.typer_hash();
-    let ht_d = {
-        let _s = cfg.stage(0);
-        build_date_ht(db, hf, p.year)
-    };
-    let _stage = cfg.stage(1);
-    let [od, disc, qty, ext] = cols;
-    let locals = cfg.map_scan(
-        lo.len(),
-        lo.row_bits(&LO_COLS),
-        |_| 0i64,
-        |local, r| {
-            let mut od_r = PackedReader::new(od, r.start);
-            let mut disc_r = PackedReader::new(disc, r.start);
-            let mut qty_r = PackedReader::new(qty, r.start);
-            let mut ext_r = PackedReader::new(ext, r.start);
-            for _ in r {
-                let o = od_r.next() as i32;
-                let d = disc_r.next();
-                let q = qty_r.next();
-                let e = ext_r.next();
-                if d >= disc_lo && d <= disc_hi && q < qty_hi {
-                    let h = hf.hash(o as u64);
-                    if ht_d.probe(h).any(|entry| entry.row == o) {
-                        *local += e * d;
-                    }
-                }
-            }
-        },
-    );
-    finish(locals.into_iter().sum())
-}
-
-/// Tectorwise over encoded storage: one fused BETWEEN kernel and one
-/// fused sparse comparison replace the flat cascade; join keys and
-/// measures decode through conditional-aggregate readers.
-fn tectorwise_encoded(
-    db: &Database,
-    lo: &Table,
-    cols: [&PackedInts; 4],
-    cfg: &ExecCfg,
-    p: &SsbQ11Params,
-) -> QueryResult {
-    let (disc_lo, disc_hi, qty_hi) = (p.disc_lo, p.disc_hi, p.qty_hi);
-    let hf = cfg.tw_hash();
-    let policy = cfg.policy;
-    let ht_d = {
-        let _s = cfg.stage(0);
-        build_date_ht(db, hf, p.year)
-    };
-    let _stage = cfg.stage(1);
-    let [od, disc, qty, ext] = cols;
-    #[derive(Default)]
-    struct Scratch {
-        local: i64,
-        s1: Vec<u32>,
-        s2: Vec<u32>,
-        hashes: Vec<u64>,
-        bufs: tw::ProbeBuffers,
-        v_od: Vec<i64>,
-        v_ext: Vec<i64>,
-        v_disc: Vec<i64>,
-        v_rev: Vec<i64>,
-    }
-    let locals = cfg.map_scan(
-        lo.len(),
-        lo.row_bits(&LO_COLS),
-        |_| Scratch::default(),
-        |st, r| {
-            for c in tw::chunks(r, cfg.vector_size) {
-                if tw::sel::sel_between_i64_for(disc, disc_lo, disc_hi, c, &mut st.s1, policy) == 0 {
-                    continue;
-                }
-                if tw::sel::sel_lt_i64_packed_sparse(qty, qty_hi, &st.s1, &mut st.s2, policy) == 0 {
-                    continue;
-                }
-                tw::gather::gather_packed_i64(od, &st.s2, policy, &mut st.v_od);
-                st.hashes.clear();
-                st.hashes.extend(st.v_od.iter().map(|&k| hf.hash(k as u64)));
-                if tw::probe::probe_join(
-                    &ht_d,
-                    &st.hashes,
-                    &st.s2,
-                    |row, t| *row as i64 == od.get(t as usize),
-                    policy,
-                    &mut st.bufs,
-                ) == 0
-                {
-                    continue;
-                }
-                tw::gather::gather_packed_i64(ext, &st.bufs.match_tuple, policy, &mut st.v_ext);
-                tw::gather::gather_packed_i64(disc, &st.bufs.match_tuple, policy, &mut st.v_disc);
-                tw::map::map_mul_i64(&st.v_ext, &st.v_disc, &mut st.v_rev);
-                st.local += tw::map::sum_i64(&st.v_rev, policy);
-            }
-        },
-    );
-    finish(locals.into_iter().map(|s| s.local).sum())
-}
-
-/// Typer: fused filter + probe + sum.
-pub fn typer(db: &Database, cfg: &ExecCfg, p: &SsbQ11Params) -> QueryResult {
+) -> i64 {
     let lo = db.table("lineorder");
-    if let Some(cols) = packed_cols(lo) {
-        return typer_encoded(db, lo, cols, cfg, p);
-    }
     let (disc_lo, disc_hi, qty_hi) = (p.disc_lo, p.disc_hi, p.qty_hi);
-    let hf = cfg.typer_hash();
-    let ht_d = {
-        let _s = cfg.stage(0);
-        build_date_ht(db, hf, p.year)
-    };
-    let _stage = cfg.stage(1);
-    let od = lo.col("lo_orderdate").i32s();
-    let disc = lo.col("lo_discount").i64s();
-    let qty = lo.col("lo_quantity").i64s();
-    let ext = lo.col("lo_extendedprice").i64s();
-    let locals = cfg.map_scan(
-        lo.len(),
-        LO_BITS,
-        |_| 0i64,
-        |local, r| {
-            for i in r {
-                if disc[i] >= disc_lo && disc[i] <= disc_hi && qty[i] < qty_hi {
-                    let h = hf.hash(od[i] as u64);
-                    if ht_d.probe(h).any(|e| e.row == od[i]) {
-                        *local += ext[i] * disc[i];
-                    }
-                }
-            }
-        },
-    );
-    finish(locals.into_iter().sum())
-}
-
-/// Tectorwise: two selections, one probe, gather/multiply/sum.
-pub fn tectorwise(db: &Database, cfg: &ExecCfg, p: &SsbQ11Params) -> QueryResult {
-    let lo = db.table("lineorder");
-    if let Some(cols) = packed_cols(lo) {
-        return tectorwise_encoded(db, lo, cols, cfg, p);
-    }
-    let (disc_lo, disc_hi, qty_hi) = (p.disc_lo, p.disc_hi, p.qty_hi);
-    let hf = cfg.tw_hash();
     let policy = cfg.policy;
-    let ht_d = {
-        let _s = cfg.stage(0);
-        build_date_ht(db, hf, p.year)
-    };
-    let _stage = cfg.stage(1);
-    let od = lo.col("lo_orderdate").i32s();
-    let disc = lo.col("lo_discount").i64s();
-    let qty = lo.col("lo_quantity").i64s();
-    let ext = lo.col("lo_extendedprice").i64s();
-    #[derive(Default)]
-    struct Scratch {
-        local: i64,
-        s1: Vec<u32>,
-        s2: Vec<u32>,
-        hashes: Vec<u64>,
-        bufs: tw::ProbeBuffers,
-        v_ext: Vec<i64>,
-        v_disc: Vec<i64>,
-        v_rev: Vec<i64>,
+    match (engine, packed_cols(lo)) {
+        (Engine::Typer, None) => {
+            let od = lo.col("lo_orderdate").i32s();
+            let disc = lo.col("lo_discount").i64s();
+            let qty = lo.col("lo_quantity").i64s();
+            let ext = lo.col("lo_extendedprice").i64s();
+            let locals = cfg.map_scan(
+                lo.len(),
+                LO_BITS,
+                |_| 0i64,
+                |local, r| {
+                    for i in r {
+                        if disc[i] >= disc_lo && disc[i] <= disc_hi && qty[i] < qty_hi {
+                            let h = hf.hash(od[i] as u64);
+                            if ht_d.probe(h).any(|e| e.row == od[i]) {
+                                *local += ext[i] * disc[i];
+                            }
+                        }
+                    }
+                },
+            );
+            locals.into_iter().sum()
+        }
+        (Engine::Typer, Some([od, disc, qty, ext])) => {
+            let locals = cfg.map_scan(
+                lo.len(),
+                lo.row_bits(&LO_COLS),
+                |_| 0i64,
+                |local, r| {
+                    let mut od_r = PackedReader::new(od, r.start);
+                    let mut disc_r = PackedReader::new(disc, r.start);
+                    let mut qty_r = PackedReader::new(qty, r.start);
+                    let mut ext_r = PackedReader::new(ext, r.start);
+                    for _ in r {
+                        let o = od_r.next() as i32;
+                        let d = disc_r.next();
+                        let q = qty_r.next();
+                        let e = ext_r.next();
+                        if d >= disc_lo && d <= disc_hi && q < qty_hi {
+                            let h = hf.hash(o as u64);
+                            if ht_d.probe(h).any(|entry| entry.row == o) {
+                                *local += e * d;
+                            }
+                        }
+                    }
+                },
+            );
+            locals.into_iter().sum()
+        }
+        (Engine::Tectorwise, None) => {
+            let od = lo.col("lo_orderdate").i32s();
+            let disc = lo.col("lo_discount").i64s();
+            let qty = lo.col("lo_quantity").i64s();
+            let ext = lo.col("lo_extendedprice").i64s();
+            let locals = cfg.map_scan(
+                lo.len(),
+                LO_BITS,
+                |_| Scratch::default(),
+                |st, r| {
+                    for c in tw::chunks(r, cfg.vector_size) {
+                        if tw::sel::sel_between_i64_dense(
+                            &disc[c.clone()],
+                            disc_lo,
+                            disc_hi,
+                            c.start as u32,
+                            &mut st.s1,
+                            policy,
+                        ) == 0
+                        {
+                            continue;
+                        }
+                        if tw::sel::sel_lt_i64_sparse(qty, qty_hi, &st.s1, &mut st.s2, policy) == 0 {
+                            continue;
+                        }
+                        tw::hashp::hash_i32(od, &st.s2, hf, &mut st.hashes);
+                        if tw::probe::probe_join(
+                            ht_d,
+                            &st.hashes,
+                            &st.s2,
+                            |row, t| *row == od[t as usize],
+                            policy,
+                            &mut st.bufs,
+                        ) == 0
+                        {
+                            continue;
+                        }
+                        tw::gather::gather_i64(ext, &st.bufs.match_tuple, policy, &mut st.v_ext);
+                        tw::gather::gather_i64(disc, &st.bufs.match_tuple, policy, &mut st.v_disc);
+                        tw::map::map_mul_i64(&st.v_ext, &st.v_disc, &mut st.v_rev);
+                        st.local += tw::map::sum_i64(&st.v_rev, policy);
+                    }
+                },
+            );
+            locals.into_iter().map(|s| s.local).sum()
+        }
+        (Engine::Tectorwise, Some([od, disc, qty, ext])) => {
+            let locals = cfg.map_scan(
+                lo.len(),
+                lo.row_bits(&LO_COLS),
+                |_| Scratch::default(),
+                |st, r| {
+                    for c in tw::chunks(r, cfg.vector_size) {
+                        if tw::sel::sel_between_i64_for(disc, disc_lo, disc_hi, c, &mut st.s1, policy) == 0 {
+                            continue;
+                        }
+                        if tw::sel::sel_lt_i64_packed_sparse(qty, qty_hi, &st.s1, &mut st.s2, policy) == 0 {
+                            continue;
+                        }
+                        tw::gather::gather_packed_i64(od, &st.s2, policy, &mut st.v_od);
+                        st.hashes.clear();
+                        st.hashes.extend(st.v_od.iter().map(|&k| hf.hash(k as u64)));
+                        if tw::probe::probe_join(
+                            ht_d,
+                            &st.hashes,
+                            &st.s2,
+                            |row, t| *row as i64 == od.get(t as usize),
+                            policy,
+                            &mut st.bufs,
+                        ) == 0
+                        {
+                            continue;
+                        }
+                        tw::gather::gather_packed_i64(ext, &st.bufs.match_tuple, policy, &mut st.v_ext);
+                        tw::gather::gather_packed_i64(disc, &st.bufs.match_tuple, policy, &mut st.v_disc);
+                        tw::map::map_mul_i64(&st.v_ext, &st.v_disc, &mut st.v_rev);
+                        st.local += tw::map::sum_i64(&st.v_rev, policy);
+                    }
+                },
+            );
+            locals.into_iter().map(|s| s.local).sum()
+        }
+        (other, _) => unreachable!("{} is not a per-stage candidate", other.name()),
     }
-    let locals = cfg.map_scan(
-        lo.len(),
-        LO_BITS,
-        |_| Scratch::default(),
-        |st, r| {
-            for c in tw::chunks(r, cfg.vector_size) {
-                if tw::sel::sel_between_i64_dense(
-                    &disc[c.clone()],
-                    disc_lo,
-                    disc_hi,
-                    c.start as u32,
-                    &mut st.s1,
-                    policy,
-                ) == 0
-                {
-                    continue;
-                }
-                if tw::sel::sel_lt_i64_sparse(qty, qty_hi, &st.s1, &mut st.s2, policy) == 0 {
-                    continue;
-                }
-                tw::hashp::hash_i32(od, &st.s2, hf, &mut st.hashes);
-                if tw::probe::probe_join(
-                    &ht_d,
-                    &st.hashes,
-                    &st.s2,
-                    |row, t| *row == od[t as usize],
-                    policy,
-                    &mut st.bufs,
-                ) == 0
-                {
-                    continue;
-                }
-                tw::gather::gather_i64(ext, &st.bufs.match_tuple, policy, &mut st.v_ext);
-                tw::gather::gather_i64(disc, &st.bufs.match_tuple, policy, &mut st.v_disc);
-                tw::map::map_mul_i64(&st.v_ext, &st.v_disc, &mut st.v_rev);
-                st.local += tw::map::sum_i64(&st.v_rev, policy);
-            }
-        },
-    );
-    finish(locals.into_iter().map(|s| s.local).sum())
 }
 
 /// Volcano: interpreted join + aggregate; `threads` partition the fact
@@ -337,12 +294,16 @@ impl crate::QueryPlan for Q11 {
         S
     }
 
-    fn typer(&self, db: &Database, cfg: &ExecCfg, params: &Params) -> QueryResult {
-        typer(db, cfg, params.ssb1_1())
-    }
-
-    fn tectorwise(&self, db: &Database, cfg: &ExecCfg, params: &Params) -> QueryResult {
-        tectorwise(db, cfg, params.ssb1_1())
+    fn run_stages(&self, db: &Database, cfg: &ExecCfg, params: &Params, choices: &[Engine]) -> QueryResult {
+        let p = params.ssb1_1();
+        let [build, scan] = crate::assignment(self.id(), choices);
+        let hf = cfg.hash_for(build);
+        let ht_d = {
+            let _s = cfg.stage(0);
+            build_date(db, hf, p.year)
+        };
+        let _s = cfg.stage(1);
+        finish(scan_filter(db, cfg, scan, hf, &ht_d, p))
     }
 
     fn volcano(&self, db: &Database, cfg: &ExecCfg, params: &Params) -> QueryResult {

@@ -16,7 +16,7 @@
 
 use crate::params::Q1Params;
 use crate::result::{avg_i64, OrderBy, QueryResult, Value};
-use crate::{ExecCfg, Params};
+use crate::{Engine, ExecCfg, Params};
 use dbep_compiled::PackedReader;
 use dbep_runtime::agg_ht::merge_partitions;
 use dbep_runtime::GroupByShard;
@@ -110,297 +110,274 @@ fn finish(groups: Vec<((u8, u8), Q1Agg)>) -> QueryResult {
     )
 }
 
-/// Typer over encoded storage: the same fused loop with every numeric
-/// column unpacked in registers by [`PackedReader`] cursors.
-fn typer_encoded(li: &Table, cols: [&PackedInts; 5], cfg: &ExecCfg, p: &Q1Params) -> QueryResult {
-    let ship_cut = p.ship_cut as i64;
-    let [ship, qty, ext, disc, tax] = cols;
-    let rf = li.col("l_returnflag").chars();
-    let ls = li.col("l_linestatus").chars();
-    let hf = cfg.typer_hash();
-    let shards = cfg.map_scan(
-        li.len(),
-        li.row_bits(&COLS),
-        |_| GroupByShard::<(u8, u8), Q1Agg>::new(PREAGG_GROUPS),
-        |shard, r| {
-            let mut ship_r = PackedReader::new(ship, r.start);
-            let mut qty_r = PackedReader::new(qty, r.start);
-            let mut ext_r = PackedReader::new(ext, r.start);
-            let mut disc_r = PackedReader::new(disc, r.start);
-            let mut tax_r = PackedReader::new(tax, r.start);
-            for i in r {
-                let s = ship_r.next();
-                let q = qty_r.next();
-                let e = ext_r.next();
-                let d = disc_r.next();
-                let t = tax_r.next();
-                if s <= ship_cut {
-                    let disc_price = e * (100 - d);
-                    let charge = disc_price as i128 * (100 + t) as i128;
-                    let key = (rf[i], ls[i]);
-                    let h = hf.rehash(hf.hash(key.0 as u64), key.1 as u64);
-                    shard.update(h, key, Q1Agg::default, |a| {
-                        a.qty += q;
-                        a.base += e;
-                        a.disc_price += disc_price;
-                        a.charge += charge;
-                        a.disc += d;
-                        a.count += 1;
-                    });
-                }
-            }
-        },
-    );
-    let shards = shards.into_iter().map(GroupByShard::finish).collect();
-    finish(merge_partitions(shards, &cfg.exec(), Q1Agg::merge))
+/// Tectorwise per-worker vectors (flat and encoded input share them).
+#[derive(Default)]
+struct Scratch {
+    sel: Vec<u32>,
+    hashes: Vec<u64>,
+    gb: tw::grouping::GroupBuffers,
+    v_qty: Vec<i64>,
+    v_ext: Vec<i64>,
+    v_disc: Vec<i64>,
+    v_tax: Vec<i64>,
+    v_om: Vec<i64>,
+    v_dp: Vec<i64>,
+    v_ot: Vec<i64>,
+    v_ch: Vec<i64>,
 }
 
-/// Typer: the fused loop a data-centric generator emits (Fig. 2a shape).
-pub fn typer(db: &Database, cfg: &ExecCfg, p: &Q1Params) -> QueryResult {
-    let _stage = cfg.stage(0);
+/// Stage 0 (`scan-agg-lineitem`): σ(lineitem) → Γ(returnflag,
+/// linestatus). Typer is the fused loop a data-centric generator emits
+/// (Fig. 2a shape); Tectorwise runs selection → hash → find-groups → one
+/// aggregate-update primitive per sum, with every intermediate
+/// materialized (Fig. 2b shape). When the lineitem table carries
+/// bit-packed companions, both arms read the numeric columns from them:
+/// Typer unpacks in registers through [`PackedReader`] cursors,
+/// Tectorwise runs a fused decompress-and-select kernel and
+/// conditional-aggregate readers.
+fn scan_agg(db: &Database, cfg: &ExecCfg, engine: Engine, p: &Q1Params) -> Vec<((u8, u8), Q1Agg)> {
     let li = db.table("lineitem");
-    if let Some(cols) = packed_cols(li) {
-        return typer_encoded(li, cols, cfg, p);
-    }
-    let ship_cut = p.ship_cut;
-    let ship = li.col("l_shipdate").dates();
-    let qty = li.col("l_quantity").i64s();
-    let ext = li.col("l_extendedprice").i64s();
-    let disc = li.col("l_discount").i64s();
-    let tax = li.col("l_tax").i64s();
     let rf = li.col("l_returnflag").chars();
     let ls = li.col("l_linestatus").chars();
-    let hf = cfg.typer_hash();
-    let shards = cfg.map_scan(
-        li.len(),
-        ROW_BITS,
-        |_| GroupByShard::<(u8, u8), Q1Agg>::new(PREAGG_GROUPS),
-        |shard, r| {
-            for i in r {
-                if ship[i] <= ship_cut {
-                    // All intermediates live in registers until the
-                    // single aggregate update — the fused pipeline.
-                    let disc_price = ext[i] * (100 - disc[i]);
-                    let charge = disc_price as i128 * (100 + tax[i]) as i128;
-                    let key = (rf[i], ls[i]);
-                    let h = hf.rehash(hf.hash(key.0 as u64), key.1 as u64);
-                    shard.update(h, key, Q1Agg::default, |a| {
-                        a.qty += qty[i];
-                        a.base += ext[i];
-                        a.disc_price += disc_price;
-                        a.charge += charge;
-                        a.disc += disc[i];
-                        a.count += 1;
-                    });
-                }
-            }
-        },
-    );
-    let shards = shards.into_iter().map(GroupByShard::finish).collect();
-    finish(merge_partitions(shards, &cfg.exec(), Q1Agg::merge))
-}
-
-/// Tectorwise over encoded storage: the dense selection becomes a fused
-/// decompress-and-select kernel and every measure gather becomes a
-/// conditional-aggregate reader; the arithmetic/aggregate primitives are
-/// unchanged and never see compressed data.
-fn tectorwise_encoded(li: &Table, cols: [&PackedInts; 5], cfg: &ExecCfg, p: &Q1Params) -> QueryResult {
-    let ship_cut = p.ship_cut;
-    let [ship, qty, ext, disc, tax] = cols;
-    let rf = li.col("l_returnflag").chars();
-    let ls = li.col("l_linestatus").chars();
-    let hf = cfg.tw_hash();
+    let hf = cfg.hash_for(engine);
     let policy = cfg.policy;
-    #[derive(Default)]
-    struct Scratch {
-        sel: Vec<u32>,
-        hashes: Vec<u64>,
-        gb: tw::grouping::GroupBuffers,
-        v_qty: Vec<i64>,
-        v_ext: Vec<i64>,
-        v_disc: Vec<i64>,
-        v_tax: Vec<i64>,
-        v_om: Vec<i64>,
-        v_dp: Vec<i64>,
-        v_ot: Vec<i64>,
-        v_ch: Vec<i64>,
-    }
-    let shards = cfg.map_scan(
-        li.len(),
-        li.row_bits(&COLS),
-        |_| {
-            (
-                GroupByShard::<(u8, u8), Q1Agg>::new(PREAGG_GROUPS),
-                Scratch::default(),
-            )
-        },
-        |(shard, st), r| {
-            for c in tw::chunks(r, cfg.vector_size) {
-                let n = tw::sel::sel_le_i32_packed(ship, ship_cut, c, &mut st.sel, policy);
-                if n == 0 {
-                    continue;
-                }
-                tw::hashp::hash_u8(rf, &st.sel, hf, &mut st.hashes);
-                tw::hashp::rehash_u8(ls, &st.sel, hf, &mut st.hashes);
-                tw::grouping::find_groups(
-                    &shard.ht,
-                    &st.hashes,
-                    &st.sel,
-                    |k, t| k.0 == rf[t as usize] && k.1 == ls[t as usize],
-                    &mut st.gb,
-                );
-                // Misses: per-tuple find-or-insert on the private shard.
-                for &t in &st.gb.miss_sel {
-                    let ti = t as usize;
-                    let key = (rf[ti], ls[ti]);
-                    let h = hf.rehash(hf.hash(key.0 as u64), key.1 as u64);
-                    let (e, d) = (ext.get(ti), disc.get(ti));
-                    let disc_price = e * (100 - d);
-                    shard.update(h, key, Q1Agg::default, |a| {
-                        a.qty += qty.get(ti);
-                        a.base += e;
-                        a.disc_price += disc_price;
-                        a.charge += disc_price as i128 * (100 + tax.get(ti)) as i128;
-                        a.disc += d;
-                        a.count += 1;
-                    });
-                }
-                if st.gb.groups.is_empty() {
-                    continue;
-                }
-                // Hits: vector-at-a-time; measures decode straight into
-                // the dense vectors the aggregate primitives consume.
-                tw::gather::gather_packed_i64(qty, &st.gb.group_sel, policy, &mut st.v_qty);
-                tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_qty, |a, v| a.qty += v);
-                tw::gather::gather_packed_i64(ext, &st.gb.group_sel, policy, &mut st.v_ext);
-                tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_ext, |a, v| a.base += v);
-                tw::gather::gather_packed_i64(disc, &st.gb.group_sel, policy, &mut st.v_disc);
-                tw::map::map_rsub_const_i64(100, &st.v_disc, &mut st.v_om);
-                tw::map::map_mul_i64(&st.v_ext, &st.v_om, &mut st.v_dp);
-                tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_dp, |a, v| {
-                    a.disc_price += v
-                });
-                tw::gather::gather_packed_i64(tax, &st.gb.group_sel, policy, &mut st.v_tax);
-                tw::map::map_add_const_i64(100, &st.v_tax, &mut st.v_ot);
-                tw::map::map_mul_i64(&st.v_dp, &st.v_ot, &mut st.v_ch);
-                tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_ch, |a, v| {
-                    a.charge += v as i128
-                });
-                tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_disc, |a, v| a.disc += v);
-                tw::grouping::agg_update_unit(&mut shard.ht, &st.gb.groups, |a| a.count += 1);
-            }
-        },
-    );
-    let shards = shards.into_iter().map(|(shard, _)| shard.finish()).collect();
-    finish(merge_partitions(shards, &cfg.exec(), Q1Agg::merge))
-}
-
-/// Tectorwise: selection → hash → find-groups → one aggregate-update
-/// primitive per sum, with every intermediate materialized (Fig. 2b
-/// shape).
-pub fn tectorwise(db: &Database, cfg: &ExecCfg, p: &Q1Params) -> QueryResult {
-    let _stage = cfg.stage(0);
-    let li = db.table("lineitem");
-    if let Some(cols) = packed_cols(li) {
-        return tectorwise_encoded(li, cols, cfg, p);
-    }
-    let ship_cut = p.ship_cut;
-    let ship = li.col("l_shipdate").dates();
-    let qty = li.col("l_quantity").i64s();
-    let ext = li.col("l_extendedprice").i64s();
-    let disc = li.col("l_discount").i64s();
-    let tax = li.col("l_tax").i64s();
-    let rf = li.col("l_returnflag").chars();
-    let ls = li.col("l_linestatus").chars();
-    let hf = cfg.tw_hash();
-    let policy = cfg.policy;
-    #[derive(Default)]
-    struct Scratch {
-        sel: Vec<u32>,
-        hashes: Vec<u64>,
-        gb: tw::grouping::GroupBuffers,
-        v_qty: Vec<i64>,
-        v_ext: Vec<i64>,
-        v_disc: Vec<i64>,
-        v_tax: Vec<i64>,
-        v_om: Vec<i64>,
-        v_dp: Vec<i64>,
-        v_ot: Vec<i64>,
-        v_ch: Vec<i64>,
-    }
-    let shards = cfg.map_scan(
-        li.len(),
-        ROW_BITS,
-        |_| {
-            (
-                GroupByShard::<(u8, u8), Q1Agg>::new(PREAGG_GROUPS),
-                Scratch::default(),
-            )
-        },
-        |(shard, st), r| {
-            for c in tw::chunks(r, cfg.vector_size) {
-                let n = tw::sel::sel_le_i32_dense(
-                    &ship[c.clone()],
-                    ship_cut,
-                    c.start as u32,
-                    &mut st.sel,
-                    policy,
-                );
-                if n == 0 {
-                    continue;
-                }
-                tw::hashp::hash_u8(rf, &st.sel, hf, &mut st.hashes);
-                tw::hashp::rehash_u8(ls, &st.sel, hf, &mut st.hashes);
-                tw::grouping::find_groups(
-                    &shard.ht,
-                    &st.hashes,
-                    &st.sel,
-                    |k, t| k.0 == rf[t as usize] && k.1 == ls[t as usize],
-                    &mut st.gb,
-                );
-                // Misses: per-tuple find-or-insert on the private shard
-                // (DESIGN.md simplification of the equal-key shuffle).
-                for &t in &st.gb.miss_sel {
-                    let t = t as usize;
-                    let key = (rf[t], ls[t]);
-                    let h = hf.rehash(hf.hash(key.0 as u64), key.1 as u64);
-                    let disc_price = ext[t] * (100 - disc[t]);
-                    shard.update(h, key, Q1Agg::default, |a| {
-                        a.qty += qty[t];
-                        a.base += ext[t];
-                        a.disc_price += disc_price;
-                        a.charge += disc_price as i128 * (100 + tax[t]) as i128;
-                        a.disc += disc[t];
-                        a.count += 1;
-                    });
-                }
-                if st.gb.groups.is_empty() {
-                    continue;
-                }
-                // Hits: vector-at-a-time, one primitive per step/aggregate.
-                tw::gather::gather_i64(qty, &st.gb.group_sel, policy, &mut st.v_qty);
-                tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_qty, |a, v| a.qty += v);
-                tw::gather::gather_i64(ext, &st.gb.group_sel, policy, &mut st.v_ext);
-                tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_ext, |a, v| a.base += v);
-                tw::gather::gather_i64(disc, &st.gb.group_sel, policy, &mut st.v_disc);
-                tw::map::map_rsub_const_i64(100, &st.v_disc, &mut st.v_om);
-                tw::map::map_mul_i64(&st.v_ext, &st.v_om, &mut st.v_dp);
-                tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_dp, |a, v| {
-                    a.disc_price += v
-                });
-                tw::gather::gather_i64(tax, &st.gb.group_sel, policy, &mut st.v_tax);
-                tw::map::map_add_const_i64(100, &st.v_tax, &mut st.v_ot);
-                tw::map::map_mul_i64(&st.v_dp, &st.v_ot, &mut st.v_ch);
-                tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_ch, |a, v| {
-                    a.charge += v as i128
-                });
-                tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_disc, |a, v| a.disc += v);
-                tw::grouping::agg_update_unit(&mut shard.ht, &st.gb.groups, |a| a.count += 1);
-            }
-        },
-    );
-    let shards = shards.into_iter().map(|(shard, _)| shard.finish()).collect();
-    finish(merge_partitions(shards, &cfg.exec(), Q1Agg::merge))
+    let shards: Vec<_> = match (engine, packed_cols(li)) {
+        (Engine::Typer, None) => {
+            let ship_cut = p.ship_cut;
+            let ship = li.col("l_shipdate").dates();
+            let qty = li.col("l_quantity").i64s();
+            let ext = li.col("l_extendedprice").i64s();
+            let disc = li.col("l_discount").i64s();
+            let tax = li.col("l_tax").i64s();
+            let shards = cfg.map_scan(
+                li.len(),
+                ROW_BITS,
+                |_| GroupByShard::<(u8, u8), Q1Agg>::new(PREAGG_GROUPS),
+                |shard, r| {
+                    for i in r {
+                        if ship[i] <= ship_cut {
+                            // All intermediates live in registers until the
+                            // single aggregate update — the fused pipeline.
+                            let disc_price = ext[i] * (100 - disc[i]);
+                            let charge = disc_price as i128 * (100 + tax[i]) as i128;
+                            let key = (rf[i], ls[i]);
+                            let h = hf.rehash(hf.hash(key.0 as u64), key.1 as u64);
+                            shard.update(h, key, Q1Agg::default, |a| {
+                                a.qty += qty[i];
+                                a.base += ext[i];
+                                a.disc_price += disc_price;
+                                a.charge += charge;
+                                a.disc += disc[i];
+                                a.count += 1;
+                            });
+                        }
+                    }
+                },
+            );
+            shards.into_iter().map(GroupByShard::finish).collect()
+        }
+        (Engine::Typer, Some([ship, qty, ext, disc, tax])) => {
+            let ship_cut = p.ship_cut as i64;
+            let shards = cfg.map_scan(
+                li.len(),
+                li.row_bits(&COLS),
+                |_| GroupByShard::<(u8, u8), Q1Agg>::new(PREAGG_GROUPS),
+                |shard, r| {
+                    let mut ship_r = PackedReader::new(ship, r.start);
+                    let mut qty_r = PackedReader::new(qty, r.start);
+                    let mut ext_r = PackedReader::new(ext, r.start);
+                    let mut disc_r = PackedReader::new(disc, r.start);
+                    let mut tax_r = PackedReader::new(tax, r.start);
+                    for i in r {
+                        let s = ship_r.next();
+                        let q = qty_r.next();
+                        let e = ext_r.next();
+                        let d = disc_r.next();
+                        let t = tax_r.next();
+                        if s <= ship_cut {
+                            let disc_price = e * (100 - d);
+                            let charge = disc_price as i128 * (100 + t) as i128;
+                            let key = (rf[i], ls[i]);
+                            let h = hf.rehash(hf.hash(key.0 as u64), key.1 as u64);
+                            shard.update(h, key, Q1Agg::default, |a| {
+                                a.qty += q;
+                                a.base += e;
+                                a.disc_price += disc_price;
+                                a.charge += charge;
+                                a.disc += d;
+                                a.count += 1;
+                            });
+                        }
+                    }
+                },
+            );
+            shards.into_iter().map(GroupByShard::finish).collect()
+        }
+        (Engine::Tectorwise, None) => {
+            let ship_cut = p.ship_cut;
+            let ship = li.col("l_shipdate").dates();
+            let qty = li.col("l_quantity").i64s();
+            let ext = li.col("l_extendedprice").i64s();
+            let disc = li.col("l_discount").i64s();
+            let tax = li.col("l_tax").i64s();
+            let shards = cfg.map_scan(
+                li.len(),
+                ROW_BITS,
+                |_| {
+                    (
+                        GroupByShard::<(u8, u8), Q1Agg>::new(PREAGG_GROUPS),
+                        Scratch::default(),
+                    )
+                },
+                |(shard, st), r| {
+                    for c in tw::chunks(r, cfg.vector_size) {
+                        let n = tw::sel::sel_le_i32_dense(
+                            &ship[c.clone()],
+                            ship_cut,
+                            c.start as u32,
+                            &mut st.sel,
+                            policy,
+                        );
+                        if n == 0 {
+                            continue;
+                        }
+                        tw::hashp::hash_u8(rf, &st.sel, hf, &mut st.hashes);
+                        tw::hashp::rehash_u8(ls, &st.sel, hf, &mut st.hashes);
+                        tw::grouping::find_groups(
+                            &shard.ht,
+                            &st.hashes,
+                            &st.sel,
+                            |k, t| k.0 == rf[t as usize] && k.1 == ls[t as usize],
+                            &mut st.gb,
+                        );
+                        // Misses: per-tuple find-or-insert on the private shard
+                        // (DESIGN.md simplification of the equal-key shuffle).
+                        for &t in &st.gb.miss_sel {
+                            let t = t as usize;
+                            let key = (rf[t], ls[t]);
+                            let h = hf.rehash(hf.hash(key.0 as u64), key.1 as u64);
+                            let disc_price = ext[t] * (100 - disc[t]);
+                            shard.update(h, key, Q1Agg::default, |a| {
+                                a.qty += qty[t];
+                                a.base += ext[t];
+                                a.disc_price += disc_price;
+                                a.charge += disc_price as i128 * (100 + tax[t]) as i128;
+                                a.disc += disc[t];
+                                a.count += 1;
+                            });
+                        }
+                        if st.gb.groups.is_empty() {
+                            continue;
+                        }
+                        // Hits: vector-at-a-time, one primitive per step/aggregate.
+                        tw::gather::gather_i64(qty, &st.gb.group_sel, policy, &mut st.v_qty);
+                        tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_qty, |a, v| {
+                            a.qty += v
+                        });
+                        tw::gather::gather_i64(ext, &st.gb.group_sel, policy, &mut st.v_ext);
+                        tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_ext, |a, v| {
+                            a.base += v
+                        });
+                        tw::gather::gather_i64(disc, &st.gb.group_sel, policy, &mut st.v_disc);
+                        tw::map::map_rsub_const_i64(100, &st.v_disc, &mut st.v_om);
+                        tw::map::map_mul_i64(&st.v_ext, &st.v_om, &mut st.v_dp);
+                        tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_dp, |a, v| {
+                            a.disc_price += v
+                        });
+                        tw::gather::gather_i64(tax, &st.gb.group_sel, policy, &mut st.v_tax);
+                        tw::map::map_add_const_i64(100, &st.v_tax, &mut st.v_ot);
+                        tw::map::map_mul_i64(&st.v_dp, &st.v_ot, &mut st.v_ch);
+                        tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_ch, |a, v| {
+                            a.charge += v as i128
+                        });
+                        tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_disc, |a, v| {
+                            a.disc += v
+                        });
+                        tw::grouping::agg_update_unit(&mut shard.ht, &st.gb.groups, |a| a.count += 1);
+                    }
+                },
+            );
+            shards.into_iter().map(|(shard, _)| shard.finish()).collect()
+        }
+        (Engine::Tectorwise, Some([ship, qty, ext, disc, tax])) => {
+            let ship_cut = p.ship_cut;
+            let shards = cfg.map_scan(
+                li.len(),
+                li.row_bits(&COLS),
+                |_| {
+                    (
+                        GroupByShard::<(u8, u8), Q1Agg>::new(PREAGG_GROUPS),
+                        Scratch::default(),
+                    )
+                },
+                |(shard, st), r| {
+                    for c in tw::chunks(r, cfg.vector_size) {
+                        let n = tw::sel::sel_le_i32_packed(ship, ship_cut, c, &mut st.sel, policy);
+                        if n == 0 {
+                            continue;
+                        }
+                        tw::hashp::hash_u8(rf, &st.sel, hf, &mut st.hashes);
+                        tw::hashp::rehash_u8(ls, &st.sel, hf, &mut st.hashes);
+                        tw::grouping::find_groups(
+                            &shard.ht,
+                            &st.hashes,
+                            &st.sel,
+                            |k, t| k.0 == rf[t as usize] && k.1 == ls[t as usize],
+                            &mut st.gb,
+                        );
+                        // Misses: per-tuple find-or-insert on the private shard.
+                        for &t in &st.gb.miss_sel {
+                            let ti = t as usize;
+                            let key = (rf[ti], ls[ti]);
+                            let h = hf.rehash(hf.hash(key.0 as u64), key.1 as u64);
+                            let (e, d) = (ext.get(ti), disc.get(ti));
+                            let disc_price = e * (100 - d);
+                            shard.update(h, key, Q1Agg::default, |a| {
+                                a.qty += qty.get(ti);
+                                a.base += e;
+                                a.disc_price += disc_price;
+                                a.charge += disc_price as i128 * (100 + tax.get(ti)) as i128;
+                                a.disc += d;
+                                a.count += 1;
+                            });
+                        }
+                        if st.gb.groups.is_empty() {
+                            continue;
+                        }
+                        // Hits: vector-at-a-time; measures decode straight into
+                        // the dense vectors the aggregate primitives consume.
+                        tw::gather::gather_packed_i64(qty, &st.gb.group_sel, policy, &mut st.v_qty);
+                        tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_qty, |a, v| {
+                            a.qty += v
+                        });
+                        tw::gather::gather_packed_i64(ext, &st.gb.group_sel, policy, &mut st.v_ext);
+                        tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_ext, |a, v| {
+                            a.base += v
+                        });
+                        tw::gather::gather_packed_i64(disc, &st.gb.group_sel, policy, &mut st.v_disc);
+                        tw::map::map_rsub_const_i64(100, &st.v_disc, &mut st.v_om);
+                        tw::map::map_mul_i64(&st.v_ext, &st.v_om, &mut st.v_dp);
+                        tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_dp, |a, v| {
+                            a.disc_price += v
+                        });
+                        tw::gather::gather_packed_i64(tax, &st.gb.group_sel, policy, &mut st.v_tax);
+                        tw::map::map_add_const_i64(100, &st.v_tax, &mut st.v_ot);
+                        tw::map::map_mul_i64(&st.v_dp, &st.v_ot, &mut st.v_ch);
+                        tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_ch, |a, v| {
+                            a.charge += v as i128
+                        });
+                        tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_disc, |a, v| {
+                            a.disc += v
+                        });
+                        tw::grouping::agg_update_unit(&mut shard.ht, &st.gb.groups, |a| a.count += 1);
+                    }
+                },
+            );
+            shards.into_iter().map(|(shard, _)| shard.finish()).collect()
+        }
+        (other, _) => unreachable!("{} is not a per-stage candidate", other.name()),
+    };
+    merge_partitions(shards, &cfg.exec(), Q1Agg::merge)
 }
 
 /// Volcano: interpreted tuple-at-a-time plan; `threads` partition the
@@ -522,12 +499,10 @@ impl crate::QueryPlan for Q1 {
         S
     }
 
-    fn typer(&self, db: &Database, cfg: &ExecCfg, params: &Params) -> QueryResult {
-        typer(db, cfg, params.q1())
-    }
-
-    fn tectorwise(&self, db: &Database, cfg: &ExecCfg, params: &Params) -> QueryResult {
-        tectorwise(db, cfg, params.q1())
+    fn run_stages(&self, db: &Database, cfg: &ExecCfg, params: &Params, choices: &[Engine]) -> QueryResult {
+        let [e] = crate::assignment(self.id(), choices);
+        let _s = cfg.stage(0);
+        finish(scan_agg(db, cfg, e, params.q1()))
     }
 
     fn volcano(&self, db: &Database, cfg: &ExecCfg, params: &Params) -> QueryResult {

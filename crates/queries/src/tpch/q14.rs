@@ -20,8 +20,9 @@
 
 use crate::params::Q14Params;
 use crate::result::{QueryResult, Value};
-use crate::{ExecCfg, Params};
+use crate::{Engine, ExecCfg, Params};
 use dbep_compiled::PackedReader;
+use dbep_runtime::hash::HashFn;
 use dbep_runtime::join_ht::JoinHtShard;
 use dbep_runtime::JoinHt;
 use dbep_storage::{Database, DictStrColumn, PackedInts, Table};
@@ -33,20 +34,23 @@ const LI_BITS: usize = 8 * (4 + 4 + 8 + 8); // partkey + shipdate + price + disc
 const PART_COLS: [&str; 2] = ["p_partkey", "p_type"];
 const LI_COLS: [&str; 4] = ["l_partkey", "l_shipdate", "l_extendedprice", "l_discount"];
 
-/// Encoded companions for both sides of the join, if all are present:
-/// packed `p_partkey`, dictionary-coded `p_type`, and the four packed
-/// lineitem columns.
-fn encoded_cols<'a>(
-    part: &'a Table,
-    li: &'a Table,
-) -> Option<(&'a PackedInts, &'a DictStrColumn, [&'a PackedInts; 4])> {
-    let pkey = part.encoded("p_partkey")?.packed();
-    let ptype = part.encoded("p_type")?.dict_str();
+/// Encoded companions of the build side, if present: packed
+/// `p_partkey` and dictionary-coded `p_type`.
+fn encoded_part(part: &Table) -> Option<(&PackedInts, &DictStrColumn)> {
+    Some((
+        part.encoded("p_partkey")?.packed(),
+        part.encoded("p_type")?.dict_str(),
+    ))
+}
+
+/// Bit-packed companions of the four probe-side lineitem columns, if
+/// present.
+fn packed_li(li: &Table) -> Option<[&PackedInts; 4]> {
     let mut out = [None; 4];
     for (slot, name) in out.iter_mut().zip(LI_COLS) {
         *slot = Some(li.encoded(name)?.packed());
     }
-    Some((pkey, ptype, out.map(|c| c.expect("filled above"))))
+    Some(out.map(|c| c.expect("filled above")))
 }
 
 /// `LIKE 'PROMO%'` evaluated once per dictionary entry instead of once
@@ -65,332 +69,262 @@ fn finish(promo: i128, total: i128) -> QueryResult {
     QueryResult::new(&["promo_revenue"], vec![vec![Value::dec4(digits)]], &[], None)
 }
 
-/// Typer over encoded storage: the build side reads dictionary codes
-/// and flags them through [`promo_flags`]; the probe side unpacks all
-/// four lineitem columns in registers.
-fn typer_encoded(
-    part: &Table,
-    li: &Table,
-    pkey: &PackedInts,
-    ptype: &DictStrColumn,
-    lcols: [&PackedInts; 4],
-    cfg: &ExecCfg,
-    p: &Q14Params,
-) -> QueryResult {
-    let (ship_lo, ship_hi) = (p.ship_lo as i64, p.ship_hi as i64);
-    let hf = cfg.typer_hash();
-    // Pipeline 1: part → HT_part (partkey → PROMO flag via dict codes).
-    let _s0 = cfg.stage(0);
-    let flags = promo_flags(ptype, p.prefix.as_bytes());
-    let codes = ptype.codes();
-    let shards = cfg.map_scan(
-        part.len(),
-        part.row_bits(&PART_COLS),
-        |_| JoinHtShard::<(i32, u8)>::new(),
-        |sh, r| {
-            let mut pk_r = PackedReader::new(pkey, r.start);
-            for i in r {
-                let pk = pk_r.next() as i32;
-                sh.push(hf.hash(pk as u64), (pk, flags[codes[i] as usize]));
-            }
-        },
-    );
-    let ht_part = JoinHt::from_shards(shards, &cfg.exec());
-    drop(_s0);
-
-    // Pipeline 2: σ(lineitem) ⋈ HT_part → (promo, total).
-    let _s1 = cfg.stage(1);
-    let [lpk, ship, ext, disc] = lcols;
-    let parts = cfg.map_scan(
-        li.len(),
-        li.row_bits(&LI_COLS),
-        |_| (0i128, 0i128),
-        |(promo, total), r| {
-            let mut lpk_r = PackedReader::new(lpk, r.start);
-            let mut ship_r = PackedReader::new(ship, r.start);
-            let mut ext_r = PackedReader::new(ext, r.start);
-            let mut disc_r = PackedReader::new(disc, r.start);
-            for _ in r {
-                let pk = lpk_r.next() as i32;
-                let s = ship_r.next();
-                let e = ext_r.next();
-                let d = disc_r.next();
-                if s >= ship_lo && s < ship_hi {
-                    let h = hf.hash(pk as u64);
-                    for entry in ht_part.probe(h) {
-                        if entry.row.0 == pk {
-                            let rev = e * (100 - d);
-                            *promo += (entry.row.1 as i64 * rev) as i128;
-                            *total += rev as i128;
-                        }
-                    }
-                }
-            }
-        },
-    );
-    let (promo, total) = parts.into_iter().fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
-    finish(promo, total)
-}
-
-/// Typer: build with a fused prefix test, then one probe loop with two
-/// register-resident accumulators (`promo += flag * rev`).
-pub fn typer(db: &Database, cfg: &ExecCfg, p: &Q14Params) -> QueryResult {
+/// Stage 0 (`build-part`): part → HT_part (partkey → PROMO flag), hashed
+/// with this stage's `hf`. Typer fuses the prefix test into the build
+/// loop; Tectorwise runs the vectorized string prefix-match primitive.
+/// Over encoded storage the per-row LIKE collapses to a byte-indexed
+/// lookup of [`promo_flags`] by dictionary code, so both engines run the
+/// same single pass.
+fn build_part(db: &Database, cfg: &ExecCfg, engine: Engine, hf: HashFn, p: &Q14Params) -> JoinHt<(i32, u8)> {
     let part = db.table("part");
-    let li = db.table("lineitem");
-    if let Some((pkey, ptype, lcols)) = encoded_cols(part, li) {
-        return typer_encoded(part, li, pkey, ptype, lcols, cfg, p);
-    }
     let prefix = p.prefix.as_bytes();
-    let (ship_lo, ship_hi) = (p.ship_lo, p.ship_hi);
-    let hf = cfg.typer_hash();
-    // Pipeline 1: part → HT_part (partkey → PROMO flag).
-    let _s0 = cfg.stage(0);
+    let policy = cfg.policy;
+    if let Some((pkey, ptype)) = encoded_part(part) {
+        let flags = promo_flags(ptype, prefix);
+        let codes = ptype.codes();
+        let shards = cfg.map_scan(
+            part.len(),
+            part.row_bits(&PART_COLS),
+            |_| JoinHtShard::<(i32, u8)>::new(),
+            |sh, r| {
+                let mut pk_r = PackedReader::new(pkey, r.start);
+                for i in r {
+                    let pk = pk_r.next() as i32;
+                    sh.push(hf.hash(pk as u64), (pk, flags[codes[i] as usize]));
+                }
+            },
+        );
+        return JoinHt::from_shards(shards, &cfg.exec());
+    }
     let pkey = part.col("p_partkey").i32s();
     let ptype = part.col("p_type").strs();
-    let shards = cfg.map_scan(
-        part.len(),
-        PART_BITS,
-        |_| JoinHtShard::<(i32, u8)>::new(),
-        |sh, r| {
-            for i in r {
-                let promo = ptype.get_bytes(i).starts_with(prefix) as u8;
-                sh.push(hf.hash(pkey[i] as u64), (pkey[i], promo));
-            }
-        },
-    );
-    let ht_part = JoinHt::from_shards(shards, &cfg.exec());
-    drop(_s0);
-
-    // Pipeline 2: σ(lineitem) ⋈ HT_part → (promo, total).
-    let _s1 = cfg.stage(1);
-    let li = db.table("lineitem");
-    let lpk = li.col("l_partkey").i32s();
-    let ship = li.col("l_shipdate").dates();
-    let ext = li.col("l_extendedprice").i64s();
-    let disc = li.col("l_discount").i64s();
-    let parts = cfg.map_scan(
-        li.len(),
-        LI_BITS,
-        |_| (0i128, 0i128),
-        |(promo, total), r| {
-            for i in r {
-                if ship[i] >= ship_lo && ship[i] < ship_hi {
-                    let h = hf.hash(lpk[i] as u64);
-                    for e in ht_part.probe(h) {
-                        if e.row.0 == lpk[i] {
-                            let rev = ext[i] * (100 - disc[i]);
-                            // Branch-free CASE: the flag gates the summand.
-                            *promo += (e.row.1 as i64 * rev) as i128;
-                            *total += rev as i128;
+    let shards = match engine {
+        Engine::Typer => cfg.map_scan(
+            part.len(),
+            PART_BITS,
+            |_| JoinHtShard::<(i32, u8)>::new(),
+            |sh, r| {
+                for i in r {
+                    let promo = ptype.get_bytes(i).starts_with(prefix) as u8;
+                    sh.push(hf.hash(pkey[i] as u64), (pkey[i], promo));
+                }
+            },
+        ),
+        Engine::Tectorwise => {
+            let shards = cfg.map_scan(
+                part.len(),
+                PART_BITS,
+                |_| {
+                    (
+                        JoinHtShard::<(i32, u8)>::new(),
+                        Vec::new(),
+                        Vec::new(),
+                        Vec::new(),
+                    )
+                },
+                |(sh, all, flags, hashes), r| {
+                    for c in tw::chunks(r, cfg.vector_size) {
+                        tw::hashp::iota(c.start as u32, c.len(), all);
+                        tw::map::map_str_prefix_flags(ptype, all, prefix, policy, flags);
+                        tw::hashp::hash_i32(pkey, all, hf, hashes);
+                        for (j, &t) in all.iter().enumerate() {
+                            sh.push(hashes[j], (pkey[t as usize], flags[j]));
                         }
                     }
-                }
-            }
-        },
-    );
-    let (promo, total) = parts.into_iter().fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
-    finish(promo, total)
+                },
+            );
+            shards.into_iter().map(|(sh, ..)| sh).collect()
+        }
+        other => unreachable!("{} is not a per-stage candidate", other.name()),
+    };
+    JoinHt::from_shards(shards, &cfg.exec())
 }
 
-/// Tectorwise over encoded storage: the build-side prefix primitive
-/// becomes a dictionary flag lookup; the probe side runs a fused BETWEEN
-/// kernel on the packed shipdate and decodes join keys and measures with
+/// Tectorwise per-worker state (flat and encoded input share it).
+#[derive(Default)]
+struct Scratch {
+    promo: i128,
+    total: i128,
+    s1: Vec<u32>,
+    s2: Vec<u32>,
+    hashes: Vec<u64>,
+    bufs: tw::ProbeBuffers,
+    v_pk: Vec<i64>,
+    v_flag: Vec<u8>,
+    v_ext: Vec<i64>,
+    v_disc: Vec<i64>,
+    v_om: Vec<i64>,
+    v_rev: Vec<i64>,
+}
+
+/// Stage 1 (`probe-lineitem`): σ(lineitem, one-month ship window) ⋈
+/// HT_part → (promo, total), probing with `hf` (HT_part's build hash).
+/// Typer keeps two register-resident accumulators (`promo += flag *
+/// rev`); Tectorwise uses the conditional-sum primitive for the CASE
+/// arm. Over bit-packed companions, Typer unpacks all four columns in
+/// registers and Tectorwise runs a fused BETWEEN kernel on the packed
+/// shipdate, then decodes join keys and measures with
 /// conditional-aggregate readers.
-fn tectorwise_encoded(
-    part: &Table,
-    li: &Table,
-    pkey: &PackedInts,
-    ptype: &DictStrColumn,
-    lcols: [&PackedInts; 4],
+fn probe_lineitem(
+    db: &Database,
     cfg: &ExecCfg,
+    engine: Engine,
+    hf: HashFn,
+    ht_part: &JoinHt<(i32, u8)>,
     p: &Q14Params,
-) -> QueryResult {
-    let (ship_lo, ship_hi) = (p.ship_lo, p.ship_hi);
-    let hf = cfg.tw_hash();
-    let policy = cfg.policy;
-    // Pipeline 1: part → HT_part. The per-row LIKE collapses to a
-    // byte-indexed lookup, so the vector loop degenerates to one pass.
-    let _s0 = cfg.stage(0);
-    let flags = promo_flags(ptype, p.prefix.as_bytes());
-    let codes = ptype.codes();
-    let shards = cfg.map_scan(
-        part.len(),
-        part.row_bits(&PART_COLS),
-        |_| JoinHtShard::<(i32, u8)>::new(),
-        |sh, r| {
-            let mut pk_r = PackedReader::new(pkey, r.start);
-            for i in r {
-                let pk = pk_r.next() as i32;
-                sh.push(hf.hash(pk as u64), (pk, flags[codes[i] as usize]));
-            }
-        },
-    );
-    let ht_part = JoinHt::from_shards(shards, &cfg.exec());
-    drop(_s0);
-
-    // Pipeline 2: σ(lineitem) ⋈ HT_part → (promo, total).
-    let _s1 = cfg.stage(1);
-    let [lpk, ship, ext, disc] = lcols;
-    #[derive(Default)]
-    struct Scratch {
-        promo: i128,
-        total: i128,
-        s1: Vec<u32>,
-        hashes: Vec<u64>,
-        bufs: tw::ProbeBuffers,
-        v_pk: Vec<i64>,
-        v_flag: Vec<u8>,
-        v_ext: Vec<i64>,
-        v_disc: Vec<i64>,
-        v_om: Vec<i64>,
-        v_rev: Vec<i64>,
-    }
-    let parts = cfg.map_scan(
-        li.len(),
-        li.row_bits(&LI_COLS),
-        |_| Scratch::default(),
-        |st, r| {
-            for c in tw::chunks(r, cfg.vector_size) {
-                // One fused BETWEEN kernel replaces the two-step cascade.
-                if tw::sel::sel_between_i32_for(ship, ship_lo, ship_hi - 1, c, &mut st.s1, policy) == 0 {
-                    continue;
-                }
-                // Join keys decode straight into the hash input vector.
-                tw::gather::gather_packed_i64(lpk, &st.s1, policy, &mut st.v_pk);
-                st.hashes.clear();
-                st.hashes.extend(st.v_pk.iter().map(|&k| hf.hash(k as u64)));
-                if tw::probe::probe_join(
-                    &ht_part,
-                    &st.hashes,
-                    &st.s1,
-                    |row, t| row.0 as i64 == lpk.get(t as usize),
-                    policy,
-                    &mut st.bufs,
-                ) == 0
-                {
-                    continue;
-                }
-                tw::gather::gather_build(&ht_part, &st.bufs.match_entry, |r| r.1, &mut st.v_flag);
-                tw::gather::gather_packed_i64(ext, &st.bufs.match_tuple, policy, &mut st.v_ext);
-                tw::gather::gather_packed_i64(disc, &st.bufs.match_tuple, policy, &mut st.v_disc);
-                tw::map::map_rsub_const_i64(100, &st.v_disc, &mut st.v_om);
-                tw::map::map_mul_i64(&st.v_ext, &st.v_om, &mut st.v_rev);
-                st.promo += tw::map::sum_i64_where_u8(&st.v_rev, &st.v_flag, policy) as i128;
-                st.total += tw::map::sum_i64(&st.v_rev, policy) as i128;
-            }
-        },
-    );
-    let (promo, total) = parts
-        .into_iter()
-        .fold((0, 0), |a, b| (a.0 + b.promo, a.1 + b.total));
-    finish(promo, total)
-}
-
-/// Tectorwise: the prefix test is the vectorized string prefix-match
-/// primitive at build; the probe side uses the conditional-sum primitive
-/// for the CASE arm.
-pub fn tectorwise(db: &Database, cfg: &ExecCfg, p: &Q14Params) -> QueryResult {
-    let part = db.table("part");
+) -> (i128, i128) {
     let li = db.table("lineitem");
-    if let Some((pkey, ptype, lcols)) = encoded_cols(part, li) {
-        return tectorwise_encoded(part, li, pkey, ptype, lcols, cfg, p);
-    }
-    let prefix = p.prefix.as_bytes();
     let (ship_lo, ship_hi) = (p.ship_lo, p.ship_hi);
-    let hf = cfg.tw_hash();
     let policy = cfg.policy;
-    // Pipeline 1: part → HT_part.
-    let _s0 = cfg.stage(0);
-    let pkey = part.col("p_partkey").i32s();
-    let ptype = part.col("p_type").strs();
-    let shards = cfg.map_scan(
-        part.len(),
-        PART_BITS,
-        |_| {
-            (
-                JoinHtShard::<(i32, u8)>::new(),
-                Vec::new(),
-                Vec::new(),
-                Vec::new(),
-            )
-        },
-        |(sh, all, flags, hashes), r| {
-            for c in tw::chunks(r, cfg.vector_size) {
-                tw::hashp::iota(c.start as u32, c.len(), all);
-                tw::map::map_str_prefix_flags(ptype, all, prefix, policy, flags);
-                tw::hashp::hash_i32(pkey, all, hf, hashes);
-                for (j, &t) in all.iter().enumerate() {
-                    sh.push(hashes[j], (pkey[t as usize], flags[j]));
+    let sum = |parts: Vec<Scratch>| {
+        parts
+            .into_iter()
+            .fold((0, 0), |a, b| (a.0 + b.promo, a.1 + b.total))
+    };
+    match (engine, packed_li(li)) {
+        (Engine::Typer, None) => {
+            let lpk = li.col("l_partkey").i32s();
+            let ship = li.col("l_shipdate").dates();
+            let ext = li.col("l_extendedprice").i64s();
+            let disc = li.col("l_discount").i64s();
+            let parts = cfg.map_scan(
+                li.len(),
+                LI_BITS,
+                |_| (0i128, 0i128),
+                |(promo, total), r| {
+                    for i in r {
+                        if ship[i] >= ship_lo && ship[i] < ship_hi {
+                            let h = hf.hash(lpk[i] as u64);
+                            for e in ht_part.probe(h) {
+                                if e.row.0 == lpk[i] {
+                                    let rev = ext[i] * (100 - disc[i]);
+                                    // Branch-free CASE: the flag gates the summand.
+                                    *promo += (e.row.1 as i64 * rev) as i128;
+                                    *total += rev as i128;
+                                }
+                            }
+                        }
+                    }
+                },
+            );
+            parts.into_iter().fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
+        }
+        (Engine::Typer, Some([lpk, ship, ext, disc])) => {
+            let (ship_lo, ship_hi) = (ship_lo as i64, ship_hi as i64);
+            let parts = cfg.map_scan(
+                li.len(),
+                li.row_bits(&LI_COLS),
+                |_| (0i128, 0i128),
+                |(promo, total), r| {
+                    let mut lpk_r = PackedReader::new(lpk, r.start);
+                    let mut ship_r = PackedReader::new(ship, r.start);
+                    let mut ext_r = PackedReader::new(ext, r.start);
+                    let mut disc_r = PackedReader::new(disc, r.start);
+                    for _ in r {
+                        let pk = lpk_r.next() as i32;
+                        let s = ship_r.next();
+                        let e = ext_r.next();
+                        let d = disc_r.next();
+                        if s >= ship_lo && s < ship_hi {
+                            let h = hf.hash(pk as u64);
+                            for entry in ht_part.probe(h) {
+                                if entry.row.0 == pk {
+                                    let rev = e * (100 - d);
+                                    *promo += (entry.row.1 as i64 * rev) as i128;
+                                    *total += rev as i128;
+                                }
+                            }
+                        }
+                    }
+                },
+            );
+            parts.into_iter().fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
+        }
+        (Engine::Tectorwise, None) => {
+            let lpk = li.col("l_partkey").i32s();
+            let ship = li.col("l_shipdate").dates();
+            let ext = li.col("l_extendedprice").i64s();
+            let disc = li.col("l_discount").i64s();
+            sum(cfg.map_scan(
+                li.len(),
+                LI_BITS,
+                |_| Scratch::default(),
+                |st, r| {
+                    for c in tw::chunks(r, cfg.vector_size) {
+                        if tw::sel::sel_ge_i32_dense(
+                            &ship[c.clone()],
+                            ship_lo,
+                            c.start as u32,
+                            &mut st.s1,
+                            policy,
+                        ) == 0
+                        {
+                            continue;
+                        }
+                        if tw::sel::sel_lt_i32_sparse(ship, ship_hi, &st.s1, &mut st.s2, policy) == 0 {
+                            continue;
+                        }
+                        tw::hashp::hash_i32(lpk, &st.s2, hf, &mut st.hashes);
+                        if tw::probe::probe_join(
+                            ht_part,
+                            &st.hashes,
+                            &st.s2,
+                            |row, t| row.0 == lpk[t as usize],
+                            policy,
+                            &mut st.bufs,
+                        ) == 0
+                        {
+                            continue;
+                        }
+                        tw::gather::gather_build(ht_part, &st.bufs.match_entry, |r| r.1, &mut st.v_flag);
+                        tw::gather::gather_i64(ext, &st.bufs.match_tuple, policy, &mut st.v_ext);
+                        tw::gather::gather_i64(disc, &st.bufs.match_tuple, policy, &mut st.v_disc);
+                        tw::map::map_rsub_const_i64(100, &st.v_disc, &mut st.v_om);
+                        tw::map::map_mul_i64(&st.v_ext, &st.v_om, &mut st.v_rev);
+                        // Conditional (CASE) and total sums, one primitive each.
+                        st.promo += tw::map::sum_i64_where_u8(&st.v_rev, &st.v_flag, policy) as i128;
+                        st.total += tw::map::sum_i64(&st.v_rev, policy) as i128;
+                    }
+                },
+            ))
+        }
+        (Engine::Tectorwise, Some([lpk, ship, ext, disc])) => sum(cfg.map_scan(
+            li.len(),
+            li.row_bits(&LI_COLS),
+            |_| Scratch::default(),
+            |st, r| {
+                for c in tw::chunks(r, cfg.vector_size) {
+                    // One fused BETWEEN kernel replaces the two-step cascade.
+                    if tw::sel::sel_between_i32_for(ship, ship_lo, ship_hi - 1, c, &mut st.s1, policy) == 0 {
+                        continue;
+                    }
+                    // Join keys decode straight into the hash input vector.
+                    tw::gather::gather_packed_i64(lpk, &st.s1, policy, &mut st.v_pk);
+                    st.hashes.clear();
+                    st.hashes.extend(st.v_pk.iter().map(|&k| hf.hash(k as u64)));
+                    if tw::probe::probe_join(
+                        ht_part,
+                        &st.hashes,
+                        &st.s1,
+                        |row, t| row.0 as i64 == lpk.get(t as usize),
+                        policy,
+                        &mut st.bufs,
+                    ) == 0
+                    {
+                        continue;
+                    }
+                    tw::gather::gather_build(ht_part, &st.bufs.match_entry, |r| r.1, &mut st.v_flag);
+                    tw::gather::gather_packed_i64(ext, &st.bufs.match_tuple, policy, &mut st.v_ext);
+                    tw::gather::gather_packed_i64(disc, &st.bufs.match_tuple, policy, &mut st.v_disc);
+                    tw::map::map_rsub_const_i64(100, &st.v_disc, &mut st.v_om);
+                    tw::map::map_mul_i64(&st.v_ext, &st.v_om, &mut st.v_rev);
+                    st.promo += tw::map::sum_i64_where_u8(&st.v_rev, &st.v_flag, policy) as i128;
+                    st.total += tw::map::sum_i64(&st.v_rev, policy) as i128;
                 }
-            }
-        },
-    );
-    let shards = shards.into_iter().map(|(sh, ..)| sh).collect();
-    let ht_part = JoinHt::from_shards(shards, &cfg.exec());
-    drop(_s0);
-
-    // Pipeline 2: σ(lineitem) ⋈ HT_part → (promo, total).
-    let _s1 = cfg.stage(1);
-    let li = db.table("lineitem");
-    let lpk = li.col("l_partkey").i32s();
-    let ship = li.col("l_shipdate").dates();
-    let ext = li.col("l_extendedprice").i64s();
-    let disc = li.col("l_discount").i64s();
-    #[derive(Default)]
-    struct Scratch {
-        promo: i128,
-        total: i128,
-        s1: Vec<u32>,
-        s2: Vec<u32>,
-        hashes: Vec<u64>,
-        bufs: tw::ProbeBuffers,
-        v_flag: Vec<u8>,
-        v_ext: Vec<i64>,
-        v_disc: Vec<i64>,
-        v_om: Vec<i64>,
-        v_rev: Vec<i64>,
+            },
+        )),
+        (other, _) => unreachable!("{} is not a per-stage candidate", other.name()),
     }
-    let parts = cfg.map_scan(
-        li.len(),
-        LI_BITS,
-        |_| Scratch::default(),
-        |st, r| {
-            for c in tw::chunks(r, cfg.vector_size) {
-                if tw::sel::sel_ge_i32_dense(&ship[c.clone()], ship_lo, c.start as u32, &mut st.s1, policy)
-                    == 0
-                {
-                    continue;
-                }
-                if tw::sel::sel_lt_i32_sparse(ship, ship_hi, &st.s1, &mut st.s2, policy) == 0 {
-                    continue;
-                }
-                tw::hashp::hash_i32(lpk, &st.s2, hf, &mut st.hashes);
-                if tw::probe::probe_join(
-                    &ht_part,
-                    &st.hashes,
-                    &st.s2,
-                    |row, t| row.0 == lpk[t as usize],
-                    policy,
-                    &mut st.bufs,
-                ) == 0
-                {
-                    continue;
-                }
-                tw::gather::gather_build(&ht_part, &st.bufs.match_entry, |r| r.1, &mut st.v_flag);
-                tw::gather::gather_i64(ext, &st.bufs.match_tuple, policy, &mut st.v_ext);
-                tw::gather::gather_i64(disc, &st.bufs.match_tuple, policy, &mut st.v_disc);
-                tw::map::map_rsub_const_i64(100, &st.v_disc, &mut st.v_om);
-                tw::map::map_mul_i64(&st.v_ext, &st.v_om, &mut st.v_rev);
-                // Conditional (CASE) and total sums, one primitive each.
-                st.promo += tw::map::sum_i64_where_u8(&st.v_rev, &st.v_flag, policy) as i128;
-                st.total += tw::map::sum_i64(&st.v_rev, policy) as i128;
-            }
-        },
-    );
-    let (promo, total) = parts
-        .into_iter()
-        .fold((0, 0), |a, b| (a.0 + b.promo, a.1 + b.total));
-    finish(promo, total)
 }
 
 /// Volcano: interpreted plan; the CASE arm is the revenue expression
@@ -469,12 +403,17 @@ impl crate::QueryPlan for Q14 {
         S
     }
 
-    fn typer(&self, db: &Database, cfg: &ExecCfg, params: &Params) -> QueryResult {
-        typer(db, cfg, params.q14())
-    }
-
-    fn tectorwise(&self, db: &Database, cfg: &ExecCfg, params: &Params) -> QueryResult {
-        tectorwise(db, cfg, params.q14())
+    fn run_stages(&self, db: &Database, cfg: &ExecCfg, params: &Params, choices: &[Engine]) -> QueryResult {
+        let p = params.q14();
+        let [build, probe] = crate::assignment(self.id(), choices);
+        let hf = cfg.hash_for(build);
+        let ht_part = {
+            let _s = cfg.stage(0);
+            build_part(db, cfg, build, hf, p)
+        };
+        let _s = cfg.stage(1);
+        let (promo, total) = probe_lineitem(db, cfg, probe, hf, &ht_part, p);
+        finish(promo, total)
     }
 
     fn volcano(&self, db: &Database, cfg: &ExecCfg, params: &Params) -> QueryResult {

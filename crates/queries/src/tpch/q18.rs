@@ -20,8 +20,9 @@
 
 use crate::params::Q18Params;
 use crate::result::{OrderBy, QueryResult, Value};
-use crate::{ExecCfg, Params};
+use crate::{Engine, ExecCfg, Params};
 use dbep_runtime::agg_ht::merge_partitions;
+use dbep_runtime::hash::HashFn;
 use dbep_runtime::join_ht::JoinHtShard;
 use dbep_runtime::{GroupByShard, JoinHt};
 use dbep_storage::Database;
@@ -83,9 +84,9 @@ impl crate::QueryPlan for Q18 {
 
     fn stages(&self) -> &'static [crate::StageDesc] {
         use crate::{StageDesc, StageKind};
-        // The join pipelines after the HAVING filter are shared scalar
-        // code (`join_phases`); only the 1.5 M-group aggregation
-        // differs per paradigm.
+        // The join pipelines after the HAVING filter are scalar code
+        // under either engine (only the hash follows the assignment);
+        // the 1.5 M-group aggregation differs per paradigm.
         const S: &[crate::StageDesc] = &[
             StageDesc::new("agg-lineitem", StageKind::Aggregate),
             StageDesc::new("probe-orders", StageKind::JoinProbe),
@@ -94,12 +95,19 @@ impl crate::QueryPlan for Q18 {
         S
     }
 
-    fn typer(&self, db: &Database, cfg: &ExecCfg, params: &Params) -> QueryResult {
-        typer(db, cfg, params.q18())
-    }
-
-    fn tectorwise(&self, db: &Database, cfg: &ExecCfg, params: &Params) -> QueryResult {
-        tectorwise(db, cfg, params.q18())
+    fn run_stages(&self, db: &Database, cfg: &ExecCfg, params: &Params, choices: &[Engine]) -> QueryResult {
+        let [agg, probe_ord, _] = crate::assignment(self.id(), choices);
+        let big = {
+            let _s = cfg.stage(0);
+            agg_lineitem(db, cfg, agg, params.q18())
+        };
+        let hf_cust = cfg.hash_for(probe_ord);
+        let ht_cust = {
+            let _s = cfg.stage(1);
+            probe_orders(db, cfg, hf_cust, big)
+        };
+        let _s = cfg.stage(2);
+        finish(db, probe_customer(db, cfg, hf_cust, &ht_cust))
     }
 
     fn volcano(&self, db: &Database, cfg: &ExecCfg, params: &Params) -> QueryResult {
@@ -107,18 +115,80 @@ impl crate::QueryPlan for Q18 {
     }
 }
 
-/// Shared phase 2+3 (identical logic in Typer and Tectorwise once the
-/// big aggregation delivered the qualifying orders).
-fn join_phases(
-    db: &Database,
-    cfg: &ExecCfg,
-    big_orders: Vec<(i32, i64)>,
-    hf: dbep_runtime::hash::HashFn,
-) -> QueryResult {
-    let _s1 = cfg.stage(1);
+/// Stage 0 (`agg-lineitem`): Γ(lineitem by l_orderkey) → HAVING
+/// filter — the 1.5 M-group aggregation, fused in Typer and built from
+/// find-groups/aggregate primitives in Tectorwise. Returns the
+/// qualifying `(orderkey, sum_qty)` pairs.
+fn agg_lineitem(db: &Database, cfg: &ExecCfg, engine: Engine, p: &Q18Params) -> Vec<(i32, i64)> {
+    let hf = cfg.hash_for(engine);
+    let policy = cfg.policy;
+    let li = db.table("lineitem");
+    let lok = li.col("l_orderkey").i32s();
+    let qty = li.col("l_quantity").i64s();
+    let shards: Vec<_> = match engine {
+        Engine::Typer => {
+            let shards = cfg.map_scan(
+                li.len(),
+                LI_BITS,
+                |_| GroupByShard::<i32, i64>::new(PREAGG_GROUPS),
+                |shard, r| {
+                    for i in r {
+                        shard.update(hf.hash(lok[i] as u64), lok[i], || 0, |a| *a += qty[i]);
+                    }
+                },
+            );
+            shards.into_iter().map(GroupByShard::finish).collect()
+        }
+        Engine::Tectorwise => {
+            #[derive(Default)]
+            struct Scratch {
+                all: Vec<u32>,
+                hashes: Vec<u64>,
+                v_qty: Vec<i64>,
+                gb: tw::grouping::GroupBuffers,
+            }
+            let shards = cfg.map_scan(
+                li.len(),
+                LI_BITS,
+                |_| (GroupByShard::<i32, i64>::new(PREAGG_GROUPS), Scratch::default()),
+                |(shard, st), r| {
+                    for c in tw::chunks(r, cfg.vector_size) {
+                        tw::hashp::iota(c.start as u32, c.len(), &mut st.all);
+                        tw::hashp::hash_i32(lok, &st.all, hf, &mut st.hashes);
+                        tw::grouping::find_groups(
+                            &shard.ht,
+                            &st.hashes,
+                            &st.all,
+                            |k, t| *k == lok[t as usize],
+                            &mut st.gb,
+                        );
+                        for &t in &st.gb.miss_sel {
+                            let t = t as usize;
+                            shard.update(hf.hash(lok[t] as u64), lok[t], || 0, |a| *a += qty[t]);
+                        }
+                        if st.gb.groups.is_empty() {
+                            continue;
+                        }
+                        tw::gather::gather_i64(qty, &st.gb.group_sel, policy, &mut st.v_qty);
+                        tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_qty, |a, v| *a += v);
+                    }
+                },
+            );
+            shards.into_iter().map(|(shard, _)| shard.finish()).collect()
+        }
+        other => unreachable!("{} is not a per-stage candidate", other.name()),
+    };
+    let groups = merge_partitions(shards, &cfg.exec(), |a, b| *a += b);
+    groups.into_iter().filter(|(_, q)| *q > p.qty_limit).collect()
+}
+
+/// Stage 1 (`probe-orders`): HT_sel over the qualifying orders, then
+/// orders ⋈ HT_sel → HT_cust (keyed by custkey), both hashed with this
+/// stage's `hf`. Scalar code under either engine: only the hash
+/// follows the assignment.
+fn probe_orders(db: &Database, cfg: &ExecCfg, hf: HashFn, big_orders: Vec<(i32, i64)>) -> JoinHt<OrdRow> {
     // HT_sel: qualifying orderkeys (tiny).
     let ht_sel = JoinHt::build(big_orders.into_iter().map(|(k, q)| (hf.hash(k as u64), (k, q))));
-    // Pipeline: orders ⋈ HT_sel → HT_cust (keyed by custkey).
     let ord = db.table("orders");
     let okey = ord.col("o_orderkey").i32s();
     let ocust = ord.col("o_custkey").i32s();
@@ -142,10 +212,18 @@ fn join_phases(
             }
         },
     );
-    let ht_cust = JoinHt::from_shards(shards, &cfg.exec());
-    drop(_s1);
-    // Pipeline: customer ⋈ HT_cust → result rows.
-    let _s2 = cfg.stage(2);
+    JoinHt::from_shards(shards, &cfg.exec())
+}
+
+/// Stage 2 (`probe-customer`): customer ⋈ HT_cust → result rows,
+/// probing with `hf_cust` (HT_cust's build hash). Scalar code under
+/// either engine.
+fn probe_customer(
+    db: &Database,
+    cfg: &ExecCfg,
+    hf_cust: HashFn,
+    ht_cust: &JoinHt<OrdRow>,
+) -> Vec<(i32, OrdRow)> {
     let cust = db.table("customer");
     let ckey = cust.col("c_custkey").i32s();
     let locals = cfg.map_scan(
@@ -154,7 +232,7 @@ fn join_phases(
         |_| Vec::new(),
         |local, r| {
             for i in r {
-                let h = hf.hash(ckey[i] as u64);
+                let h = hf_cust.hash(ckey[i] as u64);
                 for e in ht_cust.probe(h) {
                     if e.row.0 == ckey[i] {
                         local.push((i as i32, e.row));
@@ -163,83 +241,7 @@ fn join_phases(
             }
         },
     );
-    finish(db, locals.into_iter().flatten().collect())
-}
-
-/// Typer: fused 1.5 M-group aggregation, then the two join pipelines.
-pub fn typer(db: &Database, cfg: &ExecCfg, p: &Q18Params) -> QueryResult {
-    let qty_limit = p.qty_limit;
-    let hf = cfg.typer_hash();
-    let _s0 = cfg.stage(0);
-    let li = db.table("lineitem");
-    let lok = li.col("l_orderkey").i32s();
-    let qty = li.col("l_quantity").i64s();
-    let shards = cfg.map_scan(
-        li.len(),
-        LI_BITS,
-        |_| GroupByShard::<i32, i64>::new(PREAGG_GROUPS),
-        |shard, r| {
-            for i in r {
-                shard.update(hf.hash(lok[i] as u64), lok[i], || 0, |a| *a += qty[i]);
-            }
-        },
-    );
-    let shards = shards.into_iter().map(GroupByShard::finish).collect();
-    let groups = merge_partitions(shards, &cfg.exec(), |a, b| *a += b);
-    let big: Vec<(i32, i64)> = groups.into_iter().filter(|(_, q)| *q > qty_limit).collect();
-    drop(_s0);
-    join_phases(db, cfg, big, hf)
-}
-
-/// Tectorwise: the same plan with vectorized find-groups/aggregate
-/// primitives in the heavy phase.
-pub fn tectorwise(db: &Database, cfg: &ExecCfg, p: &Q18Params) -> QueryResult {
-    let qty_limit = p.qty_limit;
-    let hf = cfg.tw_hash();
-    let policy = cfg.policy;
-    let _s0 = cfg.stage(0);
-    let li = db.table("lineitem");
-    let lok = li.col("l_orderkey").i32s();
-    let qty = li.col("l_quantity").i64s();
-    #[derive(Default)]
-    struct Scratch {
-        all: Vec<u32>,
-        hashes: Vec<u64>,
-        v_qty: Vec<i64>,
-        gb: tw::grouping::GroupBuffers,
-    }
-    let shards = cfg.map_scan(
-        li.len(),
-        LI_BITS,
-        |_| (GroupByShard::<i32, i64>::new(PREAGG_GROUPS), Scratch::default()),
-        |(shard, st), r| {
-            for c in tw::chunks(r, cfg.vector_size) {
-                tw::hashp::iota(c.start as u32, c.len(), &mut st.all);
-                tw::hashp::hash_i32(lok, &st.all, hf, &mut st.hashes);
-                tw::grouping::find_groups(
-                    &shard.ht,
-                    &st.hashes,
-                    &st.all,
-                    |k, t| *k == lok[t as usize],
-                    &mut st.gb,
-                );
-                for &t in &st.gb.miss_sel {
-                    let t = t as usize;
-                    shard.update(hf.hash(lok[t] as u64), lok[t], || 0, |a| *a += qty[t]);
-                }
-                if st.gb.groups.is_empty() {
-                    continue;
-                }
-                tw::gather::gather_i64(qty, &st.gb.group_sel, policy, &mut st.v_qty);
-                tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_qty, |a, v| *a += v);
-            }
-        },
-    );
-    let shards = shards.into_iter().map(|(shard, _)| shard.finish()).collect();
-    let groups = merge_partitions(shards, &cfg.exec(), |a, b| *a += b);
-    let big: Vec<(i32, i64)> = groups.into_iter().filter(|(_, q)| *q > qty_limit).collect();
-    drop(_s0);
-    join_phases(db, cfg, big, hf)
+    locals.into_iter().flatten().collect()
 }
 
 /// Volcano: interpreted plan (HAVING via Select over the aggregate).

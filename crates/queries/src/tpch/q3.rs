@@ -303,38 +303,6 @@ fn probe_lineitem(
     merge_partitions(shards, &cfg.exec(), |a, b| *a += b)
 }
 
-/// Execute with one engine choice per stage (`[build-customer,
-/// probe-orders, probe-lineitem-agg]`). Uniform assignments reproduce
-/// the pure engines exactly; mixed assignments hash each table with its
-/// *build* stage's function and probe accordingly.
-fn run_mix(db: &Database, cfg: &ExecCfg, p: &Q3Params, choices: [Engine; 3]) -> QueryResult {
-    let hf_of = |e: Engine| match e {
-        Engine::Tectorwise => cfg.tw_hash(),
-        _ => cfg.typer_hash(),
-    };
-    let (hf_c, hf_o) = (hf_of(choices[0]), hf_of(choices[1]));
-    let ht_c = {
-        let _s = cfg.stage(0);
-        build_customer(db, cfg, choices[0], hf_c, p)
-    };
-    let ht_o = {
-        let _s = cfg.stage(1);
-        probe_orders(db, cfg, p, choices[1], hf_c, hf_o, &ht_c)
-    };
-    let _s = cfg.stage(2);
-    finish(probe_lineitem(db, cfg, p, choices[2], hf_o, &ht_o))
-}
-
-/// Typer: three fused pipelines separated by hash-table builds.
-pub fn typer(db: &Database, cfg: &ExecCfg, p: &Q3Params) -> QueryResult {
-    run_mix(db, cfg, p, [Engine::Typer; 3])
-}
-
-/// Tectorwise: the same three pipelines as vector primitives.
-pub fn tectorwise(db: &Database, cfg: &ExecCfg, p: &Q3Params) -> QueryResult {
-    run_mix(db, cfg, p, [Engine::Tectorwise; 3])
-}
-
 /// Volcano: the same plan, interpreted. The driving lineitem scan is
 /// morsel-partitioned across `cfg.threads` workers (each worker builds
 /// its own copies of the small join tables); partial groups re-aggregate
@@ -427,14 +395,6 @@ impl crate::QueryPlan for Q3 {
         db.table("customer").len() + db.table("orders").len() + db.table("lineitem").len()
     }
 
-    fn typer(&self, db: &Database, cfg: &ExecCfg, params: &Params) -> QueryResult {
-        typer(db, cfg, params.q3())
-    }
-
-    fn tectorwise(&self, db: &Database, cfg: &ExecCfg, params: &Params) -> QueryResult {
-        tectorwise(db, cfg, params.q3())
-    }
-
     fn volcano(&self, db: &Database, cfg: &ExecCfg, params: &Params) -> QueryResult {
         volcano(db, cfg, params.q3())
     }
@@ -449,22 +409,19 @@ impl crate::QueryPlan for Q3 {
         S
     }
 
-    fn run_mix(
-        &self,
-        db: &Database,
-        cfg: &ExecCfg,
-        params: &Params,
-        choices: &[Engine],
-    ) -> Option<QueryResult> {
-        match choices {
-            [a, b, c]
-                if choices
-                    .iter()
-                    .all(|e| matches!(e, Engine::Typer | Engine::Tectorwise)) =>
-            {
-                Some(run_mix(db, cfg, params.q3(), [*a, *b, *c]))
-            }
-            _ => None,
-        }
+    fn run_stages(&self, db: &Database, cfg: &ExecCfg, params: &Params, choices: &[Engine]) -> QueryResult {
+        let p = params.q3();
+        let [c0, c1, c2] = crate::assignment(self.id(), choices);
+        let (hf_c, hf_o) = (cfg.hash_for(c0), cfg.hash_for(c1));
+        let ht_c = {
+            let _s = cfg.stage(0);
+            build_customer(db, cfg, c0, hf_c, p)
+        };
+        let ht_o = {
+            let _s = cfg.stage(1);
+            probe_orders(db, cfg, p, c1, hf_c, hf_o, &ht_c)
+        };
+        let _s = cfg.stage(2);
+        finish(probe_lineitem(db, cfg, p, c2, hf_o, &ht_o))
     }
 }

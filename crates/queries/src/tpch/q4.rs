@@ -247,34 +247,6 @@ fn probe_orders(
     }
 }
 
-/// Execute with one engine choice per stage (`[build, probe]`). The
-/// uniform assignments are exactly the pure engines; mixed assignments
-/// share the build engine's hash function across both stages.
-fn run_mix(db: &Database, cfg: &ExecCfg, p: &Q4Params, choices: [Engine; 2]) -> QueryResult {
-    let hf = match choices[0] {
-        Engine::Tectorwise => cfg.tw_hash(),
-        _ => cfg.typer_hash(),
-    };
-    let ht_late = {
-        let _s = cfg.stage(0);
-        build_late(db, cfg, choices[0], hf)
-    };
-    let _s = cfg.stage(1);
-    finish(db, probe_orders(db, cfg, p, choices[1], hf, &ht_late))
-}
-
-/// Typer: two fused pipelines around the semi-join build barrier; the
-/// probe uses the hash table's existence-only path.
-pub fn typer(db: &Database, cfg: &ExecCfg, p: &Q4Params) -> QueryResult {
-    run_mix(db, cfg, p, [Engine::Typer; 2])
-}
-
-/// Tectorwise: the same plan as a primitive chain; the probe is the
-/// dedicated semi-join primitive (each order emitted at most once).
-pub fn tectorwise(db: &Database, cfg: &ExecCfg, p: &Q4Params) -> QueryResult {
-    run_mix(db, cfg, p, [Engine::Tectorwise; 2])
-}
-
 /// Volcano: the same plan through the interpreted semi-join operator.
 /// The driving orders scan is morsel-partitioned across `cfg.threads`
 /// workers; partial priority counts re-aggregate in a final merge pass.
@@ -354,14 +326,6 @@ impl crate::QueryPlan for Q4 {
         db.table("lineitem").len() + db.table("orders").len()
     }
 
-    fn typer(&self, db: &Database, cfg: &ExecCfg, params: &Params) -> QueryResult {
-        typer(db, cfg, params.q4())
-    }
-
-    fn tectorwise(&self, db: &Database, cfg: &ExecCfg, params: &Params) -> QueryResult {
-        tectorwise(db, cfg, params.q4())
-    }
-
     fn volcano(&self, db: &Database, cfg: &ExecCfg, params: &Params) -> QueryResult {
         volcano(db, cfg, params.q4())
     }
@@ -375,18 +339,14 @@ impl crate::QueryPlan for Q4 {
         S
     }
 
-    fn run_mix(
-        &self,
-        db: &Database,
-        cfg: &ExecCfg,
-        params: &Params,
-        choices: &[Engine],
-    ) -> Option<QueryResult> {
-        match choices {
-            [b @ (Engine::Typer | Engine::Tectorwise), p @ (Engine::Typer | Engine::Tectorwise)] => {
-                Some(run_mix(db, cfg, params.q4(), [*b, *p]))
-            }
-            _ => None,
-        }
+    fn run_stages(&self, db: &Database, cfg: &ExecCfg, params: &Params, choices: &[Engine]) -> QueryResult {
+        let [build, probe] = crate::assignment(self.id(), choices);
+        let hf = cfg.hash_for(build);
+        let ht_late = {
+            let _s = cfg.stage(0);
+            build_late(db, cfg, build, hf)
+        };
+        let _s = cfg.stage(1);
+        finish(db, probe_orders(db, cfg, params.q4(), probe, hf, &ht_late))
     }
 }

@@ -16,7 +16,7 @@
 
 use crate::params::Q6Params;
 use crate::result::{QueryResult, Value};
-use crate::{ExecCfg, Params};
+use crate::{Engine, ExecCfg, Params};
 use dbep_compiled::PackedReader;
 use dbep_storage::{Database, PackedInts, Table};
 use dbep_vectorized as tw;
@@ -40,172 +40,159 @@ fn finish(revenue: i64) -> QueryResult {
     QueryResult::new(&["revenue"], vec![vec![Value::dec4(revenue as i128)]], &[], None)
 }
 
-/// Typer over encoded storage: the same fused loop, but each column is
-/// unpacked in registers by a [`PackedReader`] cursor — decompression
-/// fused into the scan, never materialized.
-fn typer_encoded(li: &Table, cols: [&PackedInts; 4], cfg: &ExecCfg, p: &Q6Params) -> QueryResult {
-    let (ship_lo, ship_hi) = (p.ship_lo as i64, p.ship_hi as i64);
-    let (disc_lo, disc_hi, qty_hi) = (p.disc_lo, p.disc_hi, p.qty_hi);
-    let [ship, disc, qty, ext] = cols;
-    let locals = cfg.map_scan(
-        li.len(),
-        li.row_bits(&COLS),
-        |_| 0i64,
-        |local, r| {
-            let mut ship_r = PackedReader::new(ship, r.start);
-            let mut disc_r = PackedReader::new(disc, r.start);
-            let mut qty_r = PackedReader::new(qty, r.start);
-            let mut ext_r = PackedReader::new(ext, r.start);
-            for _ in r {
-                let s = ship_r.next();
-                let d = disc_r.next();
-                let q = qty_r.next();
-                let e = ext_r.next();
-                let ok = (s >= ship_lo) & (s < ship_hi) & (d >= disc_lo) & (d <= disc_hi) & (q < qty_hi);
-                *local += (ok as i64) * e * d;
-            }
-        },
-    );
-    finish(locals.into_iter().sum())
+/// Tectorwise per-worker state (flat and encoded input share it; the
+/// encoded cascade needs only three selection vectors).
+#[derive(Default)]
+struct Scratch {
+    local: i64,
+    s1: Vec<u32>,
+    s2: Vec<u32>,
+    s3: Vec<u32>,
+    s4: Vec<u32>,
+    s5: Vec<u32>,
+    v_ext: Vec<i64>,
+    v_disc: Vec<i64>,
+    v_rev: Vec<i64>,
 }
 
-/// Tectorwise over encoded storage: fused decompress-and-select
-/// cascade — two BETWEEN kernels and one sparse comparison replace the
-/// five flat selections, then conditional-aggregate readers unpack only
+/// Stage 0 (`scan-filter-lineitem`): σ(lineitem) → SUM. Typer is one
+/// fused, branch-free loop; Tectorwise runs five selection primitives,
+/// then gather/multiply/sum. When the lineitem table carries bit-packed
+/// companions, Typer unpacks each column in registers through a
+/// [`PackedReader`] cursor — decompression fused into the scan, never
+/// materialized — and Tectorwise runs a fused decompress-and-select
+/// cascade (two BETWEEN kernels and one sparse comparison replace the
+/// five flat selections) whose conditional-aggregate readers unpack only
 /// the surviving rows' measures.
-fn tectorwise_encoded(li: &Table, cols: [&PackedInts; 4], cfg: &ExecCfg, p: &Q6Params) -> QueryResult {
-    let (ship_lo, ship_hi) = (p.ship_lo, p.ship_hi);
-    let (disc_lo, disc_hi, qty_hi) = (p.disc_lo, p.disc_hi, p.qty_hi);
-    let [ship, disc, qty, ext] = cols;
-    let policy = cfg.policy;
-    #[derive(Default)]
-    struct Scratch {
-        local: i64,
-        s1: Vec<u32>,
-        s2: Vec<u32>,
-        s3: Vec<u32>,
-        v_ext: Vec<i64>,
-        v_disc: Vec<i64>,
-        v_rev: Vec<i64>,
-    }
-    let locals = cfg.map_scan(
-        li.len(),
-        li.row_bits(&COLS),
-        |_| Scratch::default(),
-        |st, r| {
-            for c in tw::chunks(r, cfg.vector_size) {
-                // BETWEEN is inclusive: shipdate < hi becomes <= hi-1.
-                if tw::sel::sel_between_i32_for(ship, ship_lo, ship_hi - 1, c, &mut st.s1, policy) == 0 {
-                    continue;
-                }
-                if tw::sel::sel_between_i64_for_sparse(disc, disc_lo, disc_hi, &st.s1, &mut st.s2, policy)
-                    == 0
-                {
-                    continue;
-                }
-                if tw::sel::sel_lt_i64_packed_sparse(qty, qty_hi, &st.s2, &mut st.s3, policy) == 0 {
-                    continue;
-                }
-                tw::gather::gather_packed_i64(ext, &st.s3, policy, &mut st.v_ext);
-                tw::gather::gather_packed_i64(disc, &st.s3, policy, &mut st.v_disc);
-                tw::map::map_mul_i64(&st.v_ext, &st.v_disc, &mut st.v_rev);
-                st.local += tw::map::sum_i64(&st.v_rev, policy);
-            }
-        },
-    );
-    finish(locals.into_iter().map(|s| s.local).sum())
-}
-
-/// Typer: one fused, branch-free loop.
-pub fn typer(db: &Database, cfg: &ExecCfg, p: &Q6Params) -> QueryResult {
-    let _stage = cfg.stage(0);
+fn scan_filter(db: &Database, cfg: &ExecCfg, engine: Engine, p: &Q6Params) -> i64 {
     let li = db.table("lineitem");
-    if let Some(cols) = packed_cols(li) {
-        return typer_encoded(li, cols, cfg, p);
-    }
     let (ship_lo, ship_hi) = (p.ship_lo, p.ship_hi);
     let (disc_lo, disc_hi, qty_hi) = (p.disc_lo, p.disc_hi, p.qty_hi);
-    let ship = li.col("l_shipdate").dates();
-    let disc = li.col("l_discount").i64s();
-    let qty = li.col("l_quantity").i64s();
-    let ext = li.col("l_extendedprice").i64s();
-    let locals = cfg.map_scan(
-        li.len(),
-        ROW_BITS,
-        |_| 0i64,
-        |local, r| {
-            for i in r {
-                // Predicated evaluation: no branches, all columns read.
-                let ok = (ship[i] >= ship_lo)
-                    & (ship[i] < ship_hi)
-                    & (disc[i] >= disc_lo)
-                    & (disc[i] <= disc_hi)
-                    & (qty[i] < qty_hi);
-                *local += (ok as i64) * ext[i] * disc[i];
-            }
-        },
-    );
-    finish(locals.into_iter().sum())
-}
-
-/// Tectorwise: five selection primitives, then gather/multiply/sum.
-pub fn tectorwise(db: &Database, cfg: &ExecCfg, p: &Q6Params) -> QueryResult {
-    let _stage = cfg.stage(0);
-    let li = db.table("lineitem");
-    if let Some(cols) = packed_cols(li) {
-        return tectorwise_encoded(li, cols, cfg, p);
-    }
-    let (ship_lo, ship_hi) = (p.ship_lo, p.ship_hi);
-    let (disc_lo, disc_hi, qty_hi) = (p.disc_lo, p.disc_hi, p.qty_hi);
-    let ship = li.col("l_shipdate").dates();
-    let disc = li.col("l_discount").i64s();
-    let qty = li.col("l_quantity").i64s();
-    let ext = li.col("l_extendedprice").i64s();
     let policy = cfg.policy;
-    #[derive(Default)]
-    struct Scratch {
-        local: i64,
-        s1: Vec<u32>,
-        s2: Vec<u32>,
-        s3: Vec<u32>,
-        s4: Vec<u32>,
-        s5: Vec<u32>,
-        v_ext: Vec<i64>,
-        v_disc: Vec<i64>,
-        v_rev: Vec<i64>,
+    match (engine, packed_cols(li)) {
+        (Engine::Typer, None) => {
+            let ship = li.col("l_shipdate").dates();
+            let disc = li.col("l_discount").i64s();
+            let qty = li.col("l_quantity").i64s();
+            let ext = li.col("l_extendedprice").i64s();
+            let locals = cfg.map_scan(
+                li.len(),
+                ROW_BITS,
+                |_| 0i64,
+                |local, r| {
+                    for i in r {
+                        // Predicated evaluation: no branches, all columns read.
+                        let ok = (ship[i] >= ship_lo)
+                            & (ship[i] < ship_hi)
+                            & (disc[i] >= disc_lo)
+                            & (disc[i] <= disc_hi)
+                            & (qty[i] < qty_hi);
+                        *local += (ok as i64) * ext[i] * disc[i];
+                    }
+                },
+            );
+            locals.into_iter().sum()
+        }
+        (Engine::Typer, Some([ship, disc, qty, ext])) => {
+            let (ship_lo, ship_hi) = (ship_lo as i64, ship_hi as i64);
+            let locals = cfg.map_scan(
+                li.len(),
+                li.row_bits(&COLS),
+                |_| 0i64,
+                |local, r| {
+                    let mut ship_r = PackedReader::new(ship, r.start);
+                    let mut disc_r = PackedReader::new(disc, r.start);
+                    let mut qty_r = PackedReader::new(qty, r.start);
+                    let mut ext_r = PackedReader::new(ext, r.start);
+                    for _ in r {
+                        let s = ship_r.next();
+                        let d = disc_r.next();
+                        let q = qty_r.next();
+                        let e = ext_r.next();
+                        let ok =
+                            (s >= ship_lo) & (s < ship_hi) & (d >= disc_lo) & (d <= disc_hi) & (q < qty_hi);
+                        *local += (ok as i64) * e * d;
+                    }
+                },
+            );
+            locals.into_iter().sum()
+        }
+        (Engine::Tectorwise, None) => {
+            let ship = li.col("l_shipdate").dates();
+            let disc = li.col("l_discount").i64s();
+            let qty = li.col("l_quantity").i64s();
+            let ext = li.col("l_extendedprice").i64s();
+            let locals = cfg.map_scan(
+                li.len(),
+                ROW_BITS,
+                |_| Scratch::default(),
+                |st, r| {
+                    for c in tw::chunks(r, cfg.vector_size) {
+                        // 1 dense + 4 sparse selections (§5.1's cascade).
+                        if tw::sel::sel_ge_i32_dense(
+                            &ship[c.clone()],
+                            ship_lo,
+                            c.start as u32,
+                            &mut st.s1,
+                            policy,
+                        ) == 0
+                        {
+                            continue;
+                        }
+                        if tw::sel::sel_lt_i32_sparse(ship, ship_hi, &st.s1, &mut st.s2, policy) == 0 {
+                            continue;
+                        }
+                        if tw::sel::sel_ge_i64_sparse(disc, disc_lo, &st.s2, &mut st.s3, policy) == 0 {
+                            continue;
+                        }
+                        if tw::sel::sel_le_i64_sparse(disc, disc_hi, &st.s3, &mut st.s4, policy) == 0 {
+                            continue;
+                        }
+                        if tw::sel::sel_lt_i64_sparse(qty, qty_hi, &st.s4, &mut st.s5, policy) == 0 {
+                            continue;
+                        }
+                        tw::gather::gather_i64(ext, &st.s5, policy, &mut st.v_ext);
+                        tw::gather::gather_i64(disc, &st.s5, policy, &mut st.v_disc);
+                        tw::map::map_mul_i64(&st.v_ext, &st.v_disc, &mut st.v_rev);
+                        st.local += tw::map::sum_i64(&st.v_rev, policy);
+                    }
+                },
+            );
+            locals.into_iter().map(|s| s.local).sum()
+        }
+        (Engine::Tectorwise, Some([ship, disc, qty, ext])) => {
+            let locals = cfg.map_scan(
+                li.len(),
+                li.row_bits(&COLS),
+                |_| Scratch::default(),
+                |st, r| {
+                    for c in tw::chunks(r, cfg.vector_size) {
+                        // BETWEEN is inclusive: shipdate < hi becomes <= hi-1.
+                        if tw::sel::sel_between_i32_for(ship, ship_lo, ship_hi - 1, c, &mut st.s1, policy)
+                            == 0
+                        {
+                            continue;
+                        }
+                        if tw::sel::sel_between_i64_for_sparse(
+                            disc, disc_lo, disc_hi, &st.s1, &mut st.s2, policy,
+                        ) == 0
+                        {
+                            continue;
+                        }
+                        if tw::sel::sel_lt_i64_packed_sparse(qty, qty_hi, &st.s2, &mut st.s3, policy) == 0 {
+                            continue;
+                        }
+                        tw::gather::gather_packed_i64(ext, &st.s3, policy, &mut st.v_ext);
+                        tw::gather::gather_packed_i64(disc, &st.s3, policy, &mut st.v_disc);
+                        tw::map::map_mul_i64(&st.v_ext, &st.v_disc, &mut st.v_rev);
+                        st.local += tw::map::sum_i64(&st.v_rev, policy);
+                    }
+                },
+            );
+            locals.into_iter().map(|s| s.local).sum()
+        }
+        (other, _) => unreachable!("{} is not a per-stage candidate", other.name()),
     }
-    let locals = cfg.map_scan(
-        li.len(),
-        ROW_BITS,
-        |_| Scratch::default(),
-        |st, r| {
-            for c in tw::chunks(r, cfg.vector_size) {
-                // 1 dense + 4 sparse selections (§5.1's cascade).
-                if tw::sel::sel_ge_i32_dense(&ship[c.clone()], ship_lo, c.start as u32, &mut st.s1, policy)
-                    == 0
-                {
-                    continue;
-                }
-                if tw::sel::sel_lt_i32_sparse(ship, ship_hi, &st.s1, &mut st.s2, policy) == 0 {
-                    continue;
-                }
-                if tw::sel::sel_ge_i64_sparse(disc, disc_lo, &st.s2, &mut st.s3, policy) == 0 {
-                    continue;
-                }
-                if tw::sel::sel_le_i64_sparse(disc, disc_hi, &st.s3, &mut st.s4, policy) == 0 {
-                    continue;
-                }
-                if tw::sel::sel_lt_i64_sparse(qty, qty_hi, &st.s4, &mut st.s5, policy) == 0 {
-                    continue;
-                }
-                tw::gather::gather_i64(ext, &st.s5, policy, &mut st.v_ext);
-                tw::gather::gather_i64(disc, &st.s5, policy, &mut st.v_disc);
-                tw::map::map_mul_i64(&st.v_ext, &st.v_disc, &mut st.v_rev);
-                st.local += tw::map::sum_i64(&st.v_rev, policy);
-            }
-        },
-    );
-    finish(locals.into_iter().map(|s| s.local).sum())
 }
 
 /// Volcano: interpreted conjunction, one tuple at a time; `threads`
@@ -263,12 +250,10 @@ impl crate::QueryPlan for Q6 {
         S
     }
 
-    fn typer(&self, db: &Database, cfg: &ExecCfg, params: &Params) -> QueryResult {
-        typer(db, cfg, params.q6())
-    }
-
-    fn tectorwise(&self, db: &Database, cfg: &ExecCfg, params: &Params) -> QueryResult {
-        tectorwise(db, cfg, params.q6())
+    fn run_stages(&self, db: &Database, cfg: &ExecCfg, params: &Params, choices: &[Engine]) -> QueryResult {
+        let [e] = crate::assignment(self.id(), choices);
+        let _s = cfg.stage(0);
+        finish(scan_filter(db, cfg, e, params.q6()))
     }
 
     fn volcano(&self, db: &Database, cfg: &ExecCfg, params: &Params) -> QueryResult {

@@ -559,19 +559,6 @@ impl StageCounters {
             })
             .collect()
     }
-
-    /// Sum over all stages (for whole-run cross-checks).
-    pub fn total(&self) -> StageCounterValues {
-        let mut t = StageCounterValues::default();
-        for v in self.snapshot() {
-            t.cycles += v.cycles;
-            t.instructions += v.instructions;
-            t.llc_miss += v.llc_miss;
-            t.branch_miss += v.branch_miss;
-            t.samples += v.samples;
-        }
-        t
-    }
 }
 
 /// RAII region: reads the thread's group at construction and folds the
@@ -690,9 +677,6 @@ mod tests {
         assert_eq!(snap[0].samples, 2);
         assert_eq!(snap[1].instructions, 250);
         assert!((snap[1].ipc().unwrap() - 2.5).abs() < 1e-9);
-        let total = sc.total();
-        assert_eq!(total.cycles, 300);
-        assert_eq!(total.samples, 3);
     }
 
     #[test]

@@ -142,6 +142,60 @@ fn encoded_storage_threads_do_not_change_results() {
     }
 }
 
+/// Every per-stage assignment over {Typer, Tectorwise} of every plan —
+/// 2^stages each, 80 in all — returns the pure-Typer result, under 1
+/// and 3 threads, default and forced hashes, on flat and encoded
+/// storage. With default hashes a mixed assignment builds a table under
+/// one engine's hash and probes it under the other engine, so a stage
+/// that probes with its own hash instead of the build stage's fails
+/// here.
+#[test]
+fn every_stage_assignment_matches_pure_typer() {
+    let mut assignments = 0;
+    for q in ALL {
+        let plan = dbep_queries::plan(q);
+        let n = plan.stages().len();
+        let params = Params::default_for(q);
+        let (flat, enc) = if QueryId::TPCH.contains(&q) {
+            (tpch_db_001(), tpch_db_enc())
+        } else {
+            (ssb_db_001(), ssb_db_enc())
+        };
+        let reference = run(Engine::Typer, q, flat, &ExecCfg::default());
+        for mask in 0..1u32 << n {
+            let choices: Vec<Engine> = (0..n)
+                .map(|i| match mask >> i & 1 {
+                    0 => Engine::Typer,
+                    _ => Engine::Tectorwise,
+                })
+                .collect();
+            assignments += 1;
+            for db in [flat, enc] {
+                for threads in [1, 3] {
+                    for hash in [None, Some(HashFn::Murmur2)] {
+                        let cfg = ExecCfg {
+                            threads,
+                            hash,
+                            ..Default::default()
+                        };
+                        let what = format!(
+                            "{choices:?} threads={threads} hash={hash:?} encoded={}",
+                            db.is_encoded()
+                        );
+                        assert_equal(
+                            q,
+                            &reference,
+                            &plan.run_stages(db, &cfg, &params, &choices),
+                            &what,
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(assignments, 80, "2^stages assignments summed over the 12 plans");
+}
+
 /// The registry is complete and self-consistent: one plan per
 /// `QueryId`, ids unique, lookup total. (Registry *order* vs
 /// `QueryId::ALL` is pinned by a unit test inside `dbep-queries`.)
